@@ -93,6 +93,10 @@ type Unit struct {
 	armed   int // count of active registers, for a fast skip
 	handler Handler
 
+	// [lo, hi) bounds the ranges of all active registers (lo > hi when
+	// none is active), so MayTrap rejects a clear miss with two compares.
+	lo, hi uint64
+
 	// reserved marks registers held by an external agent (a debugger or
 	// another profiling tool, the classic perf_event_open EBUSY cause);
 	// arming a reserved register fails until it is released.
@@ -111,7 +115,7 @@ func NewUnit(threadID, n int) *Unit {
 	if n <= 0 {
 		n = 4
 	}
-	return &Unit{regs: make([]Watchpoint, n), reserved: make([]bool, n), threadID: threadID}
+	return &Unit{regs: make([]Watchpoint, n), reserved: make([]bool, n), threadID: threadID, lo: ^uint64(0)}
 }
 
 // Reserve marks register i as held by an external agent: subsequent Arm
@@ -166,6 +170,7 @@ func (u *Unit) Arm(i int, addr uint64, length uint8, kind Kind, cookie any, arme
 		u.armed++
 	}
 	u.regs[i] = Watchpoint{Active: true, Addr: addr, Len: length, Kind: kind, Cookie: cookie, ArmedAt: armedAt}
+	u.rebound()
 }
 
 // Disarm deactivates register i.
@@ -174,6 +179,7 @@ func (u *Unit) Disarm(i int) {
 		u.armed--
 	}
 	u.regs[i] = Watchpoint{}
+	u.rebound()
 }
 
 // DisarmAll deactivates every register.
@@ -182,6 +188,27 @@ func (u *Unit) DisarmAll() {
 		u.regs[i] = Watchpoint{}
 	}
 	u.armed = 0
+	u.rebound()
+}
+
+// rebound recomputes the bounding range of the active registers.
+func (u *Unit) rebound() {
+	u.lo, u.hi = ^uint64(0), 0
+	for i := range u.regs {
+		wp := &u.regs[i]
+		if !wp.Active {
+			continue
+		}
+		u.lo = min(u.lo, wp.Addr)
+		u.hi = max(u.hi, wp.Addr+uint64(wp.Len))
+	}
+}
+
+// MayTrap is Check's inlinable guard: false means an access of width
+// bytes at addr overlaps no active register, so Check would deliver
+// nothing. True only means Check must look.
+func (u *Unit) MayTrap(addr uint64, width uint8) bool {
+	return addr < u.hi && addr+uint64(width) > u.lo
 }
 
 // overlap returns the byte overlap of [a1,a1+l1) and [a2,a2+l2).

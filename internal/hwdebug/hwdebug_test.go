@@ -1,6 +1,8 @@
 package hwdebug
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -141,5 +143,91 @@ func TestKindStrings(t *testing.T) {
 func TestDefaultRegisterCount(t *testing.T) {
 	if NewUnit(0, 0).NumRegs() != 4 {
 		t.Fatal("default should be 4 registers, like x86")
+	}
+}
+
+// TestMayTrapNeverHidesATrap drives a guarded unit (Check only when
+// MayTrap says so, as the machine does) and a guard-free reference
+// through the same random Arm/Disarm/DisarmAll/Reserve/Release
+// sequences and accesses, user and kernel-view alike. The guard must
+// never reject an access the full scan traps on, and both units must
+// deliver the same traps.
+func TestMayTrapNeverHidesATrap(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var gotTraps, wantTraps []Trap
+		guarded, ref := NewUnit(0, 4), NewUnit(0, 4)
+		guarded.SetHandler(func(tr Trap) { gotTraps = append(gotTraps, tr) })
+		ref.SetHandler(func(tr Trap) { wantTraps = append(wantTraps, tr) })
+		// Addresses cluster in a small window so accesses hit, with a few
+		// at the top of the address space where ranges wrap.
+		addr := func() uint64 {
+			if rng.Intn(20) == 0 {
+				return ^uint64(0) - uint64(rng.Intn(16))
+			}
+			return 0x1000 + uint64(rng.Intn(96))
+		}
+		for op := 0; op < 400; op++ {
+			reg := rng.Intn(4)
+			switch r := rng.Intn(10); {
+			case r < 3:
+				a, l, k := addr(), uint8(rng.Intn(10)), Kind(rng.Intn(2))
+				guarded.Arm(reg, a, l, k, op, 0)
+				ref.Arm(reg, a, l, k, op, 0)
+			case r < 4:
+				guarded.Disarm(reg)
+				ref.Disarm(reg)
+			case r < 5 && rng.Intn(4) == 0:
+				guarded.DisarmAll()
+				ref.DisarmAll()
+			case r < 6:
+				if rng.Intn(2) == 0 {
+					guarded.Reserve(reg)
+					ref.Reserve(reg)
+				} else {
+					guarded.Release(reg)
+					ref.Release(reg)
+				}
+			default:
+				kind := AccessKind(rng.Intn(2))
+				a, w := addr(), uint8(1)<<rng.Intn(4)
+				kernel := rng.Intn(4) == 0
+				pc := isa.MakePC(0, op)
+				want := ref.Check(kind, a, w, uint64(op), false, pc, kernel)
+				if !guarded.MayTrap(a, w) {
+					if want != 0 {
+						t.Fatalf("seed %d op %d: guard rejected a %d-byte access at %#x that traps %d times", seed, op, w, a, want)
+					}
+					continue
+				}
+				if got := guarded.Check(kind, a, w, uint64(op), false, pc, kernel); got != want {
+					t.Fatalf("seed %d op %d: %d traps, reference %d", seed, op, got, want)
+				}
+			}
+		}
+		if guarded.Traps != ref.Traps || guarded.Spurious != ref.Spurious || guarded.Armed() != ref.Armed() {
+			t.Fatalf("seed %d: traps %d/%d spurious %d/%d armed %d/%d", seed,
+				guarded.Traps, ref.Traps, guarded.Spurious, ref.Spurious, guarded.Armed(), ref.Armed())
+		}
+		if !reflect.DeepEqual(gotTraps, wantTraps) {
+			t.Fatalf("seed %d: delivered traps differ from the reference", seed)
+		}
+	}
+}
+
+func TestMayTrapIdleUnit(t *testing.T) {
+	u := NewUnit(0, 4)
+	for _, a := range []uint64{0, 1, 0x1000, ^uint64(0) - 7} {
+		if u.MayTrap(a, 8) {
+			t.Fatalf("unit with nothing armed may trap at %#x", a)
+		}
+	}
+	u.Arm(2, 0x100, 8, RWTrap, nil, 0)
+	if !u.MayTrap(0x104, 1) || u.MayTrap(0x108, 8) || u.MayTrap(0xf8, 8) {
+		t.Fatal("guard does not follow the armed range")
+	}
+	u.DisarmAll()
+	if u.MayTrap(0x104, 1) {
+		t.Fatal("guard still open after DisarmAll")
 	}
 }

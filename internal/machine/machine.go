@@ -169,10 +169,21 @@ func (t *Thread) LastBranch() (Branch, bool) {
 
 func (t *Thread) recordBranch(from, to isa.PC) {
 	t.lbr[t.lbrPos] = Branch{From: from, To: to}
-	t.lbrPos = (t.lbrPos + 1) % len(t.lbr)
+	if t.lbrPos++; t.lbrPos == len(t.lbr) {
+		t.lbrPos = 0
+	}
 	if t.lbrLen < len(t.lbr) {
 		t.lbrLen++
 	}
+}
+
+// branchTo records a taken branch from instruction idx of function fn to
+// the branch's target instruction in the same function and returns the
+// target's index.
+func (t *Thread) branchTo(fn, idx int, target int64) int {
+	to := int(uint32(target))
+	t.recordBranch(isa.MakePC(fn, idx), isa.MakePC(fn, to))
+	return to
 }
 
 // Machine executes a program.
@@ -332,8 +343,9 @@ func (m *Machine) Footprint() uint64 {
 	return m.Mem.Footprint() + uint64(len(m.Threads))*perThread
 }
 
-// Run executes all threads round-robin until every thread halts. It
-// returns an error on invalid programs or when MaxSteps is exceeded.
+// Run executes all threads round-robin, one quantum at a time, until
+// every thread halts. It returns an error on invalid programs or when
+// MaxSteps is exceeded.
 func (m *Machine) Run() error {
 	for {
 		live := false
@@ -342,10 +354,8 @@ func (m *Machine) Run() error {
 				continue
 			}
 			live = true
-			for q := uint64(0); q < m.cfg.Quantum && !t.halted; q++ {
-				if err := m.step(t); err != nil {
-					return err
-				}
+			if err := m.runQuantum(t); err != nil {
+				return err
 			}
 		}
 		if !live {
@@ -357,145 +367,201 @@ func (m *Machine) Run() error {
 	}
 }
 
-// step retires one instruction on t.
-func (m *Machine) step(t *Thread) error {
-	in := m.Prog.InstrAt(t.PC)
-	if in == nil {
-		return fmt.Errorf("machine: thread %d: invalid PC %v", t.ID, t.PC)
+// funcCode returns function fn's code, or nil when fn is out of range so
+// that the next fetch reports the invalid PC.
+func funcCode(funcs []*isa.Function, fn int) []isa.Instr {
+	if uint(fn) < uint(len(funcs)) {
+		return funcs[fn].Code
 	}
-	pc := t.PC
-	next := pc.Add(1)
+	return nil
+}
+
+// runQuantum is the retire loop: it retires up to one quantum of t's
+// instructions, stopping early when t halts. The current function's code
+// is held in a local and refreshed only on call and return, and the PC
+// lives in (fn, idx). Before every callout (observer, watchpoints, PMU)
+// and on exit, t.PC and the retirement counters are written back, so
+// handlers see the retiring instruction's PC as before.
+func (m *Machine) runQuantum(t *Thread) error {
+	funcs := m.Prog.Funcs
+	fn, idx := t.PC.Func(), t.PC.Index()
+	code := funcCode(funcs, fn)
 	r := &t.Regs
-	m.steps++
-	t.Instrs++
-
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpMovImm, isa.OpFMovImm:
-		r[in.Dst] = uint64(in.Imm)
-	case isa.OpMov:
-		r[in.Dst] = r[in.A]
-	case isa.OpAdd:
-		r[in.Dst] = r[in.A] + r[in.B]
-	case isa.OpAddImm:
-		r[in.Dst] = r[in.A] + uint64(in.Imm)
-	case isa.OpSub:
-		r[in.Dst] = r[in.A] - r[in.B]
-	case isa.OpMul:
-		r[in.Dst] = r[in.A] * r[in.B]
-	case isa.OpMulImm:
-		r[in.Dst] = r[in.A] * uint64(in.Imm)
-	case isa.OpDiv:
-		if r[in.B] == 0 {
-			r[in.Dst] = 0
-		} else {
-			r[in.Dst] = r[in.A] / r[in.B]
+	// The retired-instruction counters are kept as q, the count retired
+	// in this quantum so far, and synced before every callout and exit.
+	instrs0, steps0 := t.Instrs, m.steps
+	sync := func(q uint64) { t.Instrs, m.steps = instrs0+q, steps0+q }
+	// ibs caches t.PMU.NeedsAllRetired(); only a callout can change it.
+	ibs := t.PMU.NeedsAllRetired()
+	quantum := m.cfg.Quantum
+	for q := uint64(1); q <= quantum; q++ {
+		if uint(idx) >= uint(len(code)) {
+			sync(q - 1)
+			t.PC = isa.MakePC(fn, idx)
+			return fmt.Errorf("machine: thread %d: invalid PC %v", t.ID, t.PC)
 		}
-	case isa.OpMod:
-		if r[in.B] == 0 {
-			r[in.Dst] = 0
-		} else {
-			r[in.Dst] = r[in.A] % r[in.B]
-		}
-	case isa.OpAnd:
-		r[in.Dst] = r[in.A] & r[in.B]
-	case isa.OpOr:
-		r[in.Dst] = r[in.A] | r[in.B]
-	case isa.OpXor:
-		r[in.Dst] = r[in.A] ^ r[in.B]
-	case isa.OpShl:
-		r[in.Dst] = r[in.A] << (uint64(in.Imm) & 63)
-	case isa.OpShr:
-		r[in.Dst] = r[in.A] >> (uint64(in.Imm) & 63)
-	case isa.OpFAdd:
-		r[in.Dst] = isa.F64Bits(isa.F64(r[in.A]) + isa.F64(r[in.B]))
-	case isa.OpFSub:
-		r[in.Dst] = isa.F64Bits(isa.F64(r[in.A]) - isa.F64(r[in.B]))
-	case isa.OpFMul:
-		r[in.Dst] = isa.F64Bits(isa.F64(r[in.A]) * isa.F64(r[in.B]))
-	case isa.OpFDiv:
-		r[in.Dst] = isa.F64Bits(isa.F64(r[in.A]) / isa.F64(r[in.B]))
+		in := &code[idx]
+		next := idx + 1
 
-	case isa.OpLoad:
-		addr := r[in.A] + uint64(in.Imm)
-		val := m.Mem.LoadN(addr, in.Width)
-		r[in.Dst] = val
-		t.Loads++
-		m.retireAccess(t, pmu.Load, pc, next, addr, in.Width, val, in.Float, in.Latency)
-	case isa.OpStore:
-		addr := r[in.A] + uint64(in.Imm)
-		val := r[in.B]
-		if in.Width < 8 {
-			val &= (1 << (8 * uint64(in.Width))) - 1
-		}
-		m.Mem.StoreN(addr, val, in.Width)
-		t.Stores++
-		m.retireAccess(t, pmu.Store, pc, next, addr, in.Width, val, in.Float, in.Latency)
-
-	case isa.OpJmp:
-		next = isa.MakePC(pc.Func(), int(in.Imm))
-		t.recordBranch(pc, next)
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBle, isa.OpBgt, isa.OpBge:
-		a, b := int64(r[in.A]), int64(r[in.B])
-		var take bool
 		switch in.Op {
-		case isa.OpBeq:
-			take = a == b
-		case isa.OpBne:
-			take = a != b
-		case isa.OpBlt:
-			take = a < b
-		case isa.OpBle:
-			take = a <= b
-		case isa.OpBgt:
-			take = a > b
-		case isa.OpBge:
-			take = a >= b
-		}
-		if take {
-			next = isa.MakePC(pc.Func(), int(in.Imm))
-			t.recordBranch(pc, next)
-		}
-	case isa.OpCall:
-		if len(t.Stack) >= m.cfg.MaxCallDepth {
-			return fmt.Errorf("machine: thread %d: call stack overflow (%d frames) at %v", t.ID, len(t.Stack), pc)
-		}
-		callee := isa.MakePC(int(in.Fn), 0)
-		t.Stack = append(t.Stack, Frame{FuncIdx: in.Fn, CallSite: pc, RetPC: next})
-		t.recordBranch(pc, callee)
-		if m.observer != nil {
-			m.observer.OnCall(t, in.Fn, pc)
-		}
-		next = callee
-	case isa.OpRet:
-		if len(t.Stack) <= 1 {
-			t.halted = true
-			if m.observer != nil {
-				m.observer.OnRet(t)
+		case isa.OpNop:
+		case isa.OpMovImm, isa.OpFMovImm:
+			r[in.Dst] = uint64(in.Imm)
+		case isa.OpMov:
+			r[in.Dst] = r[in.A]
+		case isa.OpAdd:
+			r[in.Dst] = r[in.A] + r[in.B]
+		case isa.OpAddImm:
+			r[in.Dst] = r[in.A] + uint64(in.Imm)
+		case isa.OpSub:
+			r[in.Dst] = r[in.A] - r[in.B]
+		case isa.OpMul:
+			r[in.Dst] = r[in.A] * r[in.B]
+		case isa.OpMulImm:
+			r[in.Dst] = r[in.A] * uint64(in.Imm)
+		case isa.OpDiv:
+			if r[in.B] == 0 {
+				r[in.Dst] = 0
+			} else {
+				r[in.Dst] = r[in.A] / r[in.B]
 			}
+		case isa.OpMod:
+			if r[in.B] == 0 {
+				r[in.Dst] = 0
+			} else {
+				r[in.Dst] = r[in.A] % r[in.B]
+			}
+		case isa.OpAnd:
+			r[in.Dst] = r[in.A] & r[in.B]
+		case isa.OpOr:
+			r[in.Dst] = r[in.A] | r[in.B]
+		case isa.OpXor:
+			r[in.Dst] = r[in.A] ^ r[in.B]
+		case isa.OpShl:
+			r[in.Dst] = r[in.A] << (uint64(in.Imm) & 63)
+		case isa.OpShr:
+			r[in.Dst] = r[in.A] >> (uint64(in.Imm) & 63)
+		case isa.OpFAdd:
+			r[in.Dst] = isa.F64Bits(isa.F64(r[in.A]) + isa.F64(r[in.B]))
+		case isa.OpFSub:
+			r[in.Dst] = isa.F64Bits(isa.F64(r[in.A]) - isa.F64(r[in.B]))
+		case isa.OpFMul:
+			r[in.Dst] = isa.F64Bits(isa.F64(r[in.A]) * isa.F64(r[in.B]))
+		case isa.OpFDiv:
+			r[in.Dst] = isa.F64Bits(isa.F64(r[in.A]) / isa.F64(r[in.B]))
+
+		case isa.OpLoad:
+			addr := r[in.A] + uint64(in.Imm)
+			val := m.Mem.LoadN(addr, in.Width)
+			r[in.Dst] = val
+			t.Loads++
+			sync(q)
+			t.PC = isa.MakePC(fn, idx)
+			m.retireAccess(t, pmu.Load, t.PC, isa.MakePC(fn, next), addr, in.Width, val, in.Float, in.Latency)
+			ibs = t.PMU.NeedsAllRetired()
+			idx = next
+			continue
+		case isa.OpStore:
+			addr := r[in.A] + uint64(in.Imm)
+			val := r[in.B]
+			if in.Width < 8 {
+				val &= (1 << (8 * uint64(in.Width))) - 1
+			}
+			m.Mem.StoreN(addr, val, in.Width)
+			t.Stores++
+			sync(q)
+			t.PC = isa.MakePC(fn, idx)
+			m.retireAccess(t, pmu.Store, t.PC, isa.MakePC(fn, next), addr, in.Width, val, in.Float, in.Latency)
+			ibs = t.PMU.NeedsAllRetired()
+			idx = next
+			continue
+
+		case isa.OpJmp:
+			next = t.branchTo(fn, idx, in.Imm)
+		case isa.OpBeq:
+			if r[in.A] == r[in.B] {
+				next = t.branchTo(fn, idx, in.Imm)
+			}
+		case isa.OpBne:
+			if r[in.A] != r[in.B] {
+				next = t.branchTo(fn, idx, in.Imm)
+			}
+		case isa.OpBlt:
+			if int64(r[in.A]) < int64(r[in.B]) {
+				next = t.branchTo(fn, idx, in.Imm)
+			}
+		case isa.OpBle:
+			if int64(r[in.A]) <= int64(r[in.B]) {
+				next = t.branchTo(fn, idx, in.Imm)
+			}
+		case isa.OpBgt:
+			if int64(r[in.A]) > int64(r[in.B]) {
+				next = t.branchTo(fn, idx, in.Imm)
+			}
+		case isa.OpBge:
+			if int64(r[in.A]) >= int64(r[in.B]) {
+				next = t.branchTo(fn, idx, in.Imm)
+			}
+		case isa.OpCall:
+			pc := isa.MakePC(fn, idx)
+			if len(t.Stack) >= m.cfg.MaxCallDepth {
+				sync(q)
+				t.PC = pc
+				return fmt.Errorf("machine: thread %d: call stack overflow (%d frames) at %v", t.ID, len(t.Stack), pc)
+			}
+			callee := isa.MakePC(int(in.Fn), 0)
+			t.Stack = append(t.Stack, Frame{FuncIdx: in.Fn, CallSite: pc, RetPC: isa.MakePC(fn, next)})
+			t.recordBranch(pc, callee)
+			if m.observer != nil {
+				sync(q)
+				t.PC = pc
+				m.observer.OnCall(t, in.Fn, pc)
+				ibs = t.PMU.NeedsAllRetired()
+			}
+			fn, next = callee.Func(), 0
+			code = funcCode(funcs, fn)
+		case isa.OpRet:
+			pc := isa.MakePC(fn, idx)
+			if len(t.Stack) <= 1 {
+				t.halted = true
+				sync(q)
+				t.PC = pc
+				if m.observer != nil {
+					m.observer.OnRet(t)
+				}
+				return nil
+			}
+			fr := t.Stack[len(t.Stack)-1]
+			t.Stack = t.Stack[:len(t.Stack)-1]
+			t.recordBranch(pc, fr.RetPC)
+			if m.observer != nil {
+				sync(q)
+				t.PC = pc
+				m.observer.OnRet(t)
+				ibs = t.PMU.NeedsAllRetired()
+			}
+			fn, next = fr.RetPC.Func(), fr.RetPC.Index()
+			code = funcCode(funcs, fn)
+		case isa.OpHalt:
+			t.halted = true
+			sync(q)
+			t.PC = isa.MakePC(fn, idx)
 			return nil
+		default:
+			sync(q)
+			t.PC = isa.MakePC(fn, idx)
+			return fmt.Errorf("machine: thread %d: bad opcode %v at %v", t.ID, in.Op, t.PC)
 		}
-		fr := t.Stack[len(t.Stack)-1]
-		t.Stack = t.Stack[:len(t.Stack)-1]
-		t.recordBranch(pc, fr.RetPC)
-		if m.observer != nil {
-			m.observer.OnRet(t)
+
+		// IBS-style sampling counts every retired instruction, not just
+		// memory operations (memory ops are counted inside retireAccess).
+		if ibs {
+			t.PMU.CountNonMem()
 		}
-		next = fr.RetPC
-	case isa.OpHalt:
-		t.halted = true
-		return nil
-	default:
-		return fmt.Errorf("machine: thread %d: bad opcode %v at %v", t.ID, in.Op, pc)
+		idx = next
 	}
-
-	// IBS-style sampling counts every retired instruction, not just
-	// memory operations (memory ops are counted inside retireAccess).
-	if !in.Op.IsMem() && t.PMU.NeedsAllRetired() {
-		t.PMU.CountNonMem()
-	}
-
-	t.PC = next
+	sync(quantum)
+	t.PC = isa.MakePC(fn, idx)
 	return nil
 }
 
@@ -509,6 +575,8 @@ func (m *Machine) retireAccess(t *Thread, kind pmu.AccessKind, pc, next isa.PC, 
 		acc := Access{Kind: kind, PC: pc, Addr: addr, Width: width, Value: val, Float: float}
 		m.observer.OnAccess(t, &acc)
 	}
-	t.Watch.Check(hwdebug.AccessKind(kind), addr, width, val, float, next, false)
+	if t.Watch.MayTrap(addr, width) {
+		t.Watch.Check(hwdebug.AccessKind(kind), addr, width, val, float, next, false)
+	}
 	t.PMU.CountMemOp(kind, pc, addr, width, val, float, latency)
 }

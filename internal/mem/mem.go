@@ -18,21 +18,31 @@ type page [PageSize]byte
 // call New.
 type Memory struct {
 	pages map[uint64]*page
+
+	// lastKey/lastPage cache the most recently used page in front of the
+	// map. Pages are never freed, so the cache cannot go stale. lastKey
+	// starts at a value no address shifts to.
+	lastKey  uint64
+	lastPage *page
 }
 
 // New returns an empty address space.
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+	return &Memory{pages: make(map[uint64]*page), lastKey: ^uint64(0)}
 }
 
-// page returns the page containing addr, materializing it if needed.
+// pageFor returns the page containing addr, materializing it if needed.
 func (m *Memory) pageFor(addr uint64) *page {
 	key := addr >> PageBits
+	if key == m.lastKey {
+		return m.lastPage
+	}
 	p := m.pages[key]
 	if p == nil {
 		p = new(page)
 		m.pages[key] = p
 	}
+	m.lastKey, m.lastPage = key, p
 	return p
 }
 

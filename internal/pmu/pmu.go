@@ -197,13 +197,21 @@ func (u *Unit) CountNonMem() {
 	}
 }
 
+// sample is the precise snapshot of one access.
+func (u *Unit) sample(kind AccessKind, pc isa.PC, addr uint64, width uint8, value uint64, float bool) Sample {
+	return Sample{
+		Event: u.event, Kind: kind, PC: pc, Addr: addr,
+		Width: width, Value: value, Float: float, ThreadID: u.threadID,
+	}
+}
+
 // CountMemOp counts one retired memory operation and delivers a sample if
 // the counter overflows. latency > 1 marks a long-latency operation that
 // casts a shadow over subsequent retirements when Shadow is enabled.
-// It returns true if a sample was delivered.
-func (u *Unit) CountMemOp(kind AccessKind, pc isa.PC, addr uint64, width uint8, value uint64, float bool, latency uint8) bool {
+// The Sample is built only on overflow (or to remember a shadowing op).
+func (u *Unit) CountMemOp(kind AccessKind, pc isa.PC, addr uint64, width uint8, value uint64, float bool, latency uint8) {
 	if !u.enabled {
-		return false
+		return
 	}
 	if !u.matches(kind) {
 		// In IBS mode the instruction still advances the counter; a
@@ -211,38 +219,38 @@ func (u *Unit) CountMemOp(kind AccessKind, pc isa.PC, addr uint64, width uint8, 
 		if u.Mode == ModeIBS {
 			u.CountNonMem()
 		}
-		return false
+		return
 	}
-	cur := Sample{
-		Event: u.event, Kind: kind, PC: pc, Addr: addr,
-		Width: width, Value: value, Float: float, ThreadID: u.threadID,
-	}
+	shadowed := false
 	if u.Shadow {
 		if latency > 1 {
-			u.shadowOp = cur
+			u.shadowOp = u.sample(kind, pc, addr, width, value, float)
 			u.shadowLeft = int(latency) - 1
 		} else if u.shadowLeft > 0 {
-			u.shadowLeft--
 			// A short op retiring in the shadow: an overflow here is
 			// attributed to the long-latency op.
-			cur = u.shadowOp
+			u.shadowLeft--
+			shadowed = true
 		}
 	}
 	u.counter++
 	if u.counter < u.period {
-		return false
+		return
 	}
 	u.counter = 0
 	if u.DropSignal != nil && u.DropSignal() {
 		// The overflow happened — the period's events are gone — but the
 		// signal never reached user space.
 		u.LostSignals++
-		return true
+		return
+	}
+	cur := u.shadowOp
+	if !shadowed {
+		cur = u.sample(kind, pc, addr, width, value, float)
 	}
 	u.seq++
 	cur.Seq = u.seq
 	if u.handler != nil {
 		u.handler(cur)
 	}
-	return true
 }

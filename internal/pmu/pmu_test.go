@@ -129,3 +129,20 @@ func TestEventStrings(t *testing.T) {
 		t.Fatal("kind strings")
 	}
 }
+
+// TestDropSignalConsumesPeriod: a lost overflow signal uses up the
+// period's events but delivers nothing and takes no sequence number.
+func TestDropSignalConsumesPeriod(t *testing.T) {
+	u := NewUnit(0)
+	var got []Sample
+	u.Configure(EventAllStores, 2, func(s Sample) { got = append(got, s) })
+	drop := true
+	u.DropSignal = func() bool { d := drop; drop = false; return d }
+	u.Enable()
+	for i := 0; i < 4; i++ {
+		u.CountMemOp(Store, isa.MakePC(0, i), uint64(i), 8, 0, false, 1)
+	}
+	if u.LostSignals != 1 || len(got) != 1 || got[0].Addr != 3 || got[0].Seq != 1 || u.Samples() != 1 {
+		t.Fatalf("lost %d, samples %+v", u.LostSignals, got)
+	}
+}
