@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,44 +10,115 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/witch"
 )
 
-// newTestCluster boots n in-process daemons wired into one ring over
-// real loopback HTTP. Returned slices are index-aligned: servers[i]
-// serves at urls[i].
-func newTestCluster(t *testing.T, n int) (servers []*Server, hts []*httptest.Server, urls []string) {
+// ringOptions configures newTestRing. The zero value of every field
+// but n is the plain ring: RF 1, no replication engine, wall clock.
+type ringOptions struct {
+	n  int // nodes
+	rf int // replication factor; above 1 starts each node's replication engine
+	// hints puts each node's hinted-handoff queues on disk (replication
+	// only; without it hints stay in memory).
+	hints bool
+	// clock, when set, drives every router's breaker cooldowns, and one
+	// failed leg opens a peer's breaker — so breaker state changes
+	// exactly when a test fails a leg or advances the clock.
+	clock *fakeClock
+	// traced wires a per-node Observer with a trace ring into both the
+	// handler layer and the router, so spans chain across legs.
+	traced bool
+}
+
+// testNode is one member of an in-process ring. Its reachability flips
+// with the down switch (the wrapper answers 503 for everything, which
+// is what a drowning or partitioned node looks like to its peers'
+// breakers). The reject switch instead 400s replication legs only — a
+// healthy-looking follower that durably refuses the bytes (smaller
+// MaxBody, decode bug).
+type testNode struct {
+	srv    *Server
+	h      http.Handler // srv.Handler(), built once before the listener starts
+	ht     *httptest.Server
+	url    string
+	down   atomic.Bool
+	reject atomic.Bool
+}
+
+// newTestRing boots o.n in-process daemons wired into one ring over
+// real loopback HTTP (a single node gets no router). Background
+// drain/repair loops are effectively disabled — tests call
+// DrainHintsNow/RepairNow for determinism.
+func newTestRing(t *testing.T, o ringOptions) []*testNode {
 	t.Helper()
-	servers = make([]*Server, n)
-	hts = make([]*httptest.Server, n)
-	urls = make([]string, n)
-	for i := range servers {
-		servers[i] = NewServer(store.New(store.Config{}), Config{})
-		servers[i].SetState(StateServing)
-		hts[i] = httptest.NewServer(servers[i].Handler())
-		urls[i] = hts[i].URL
+	nodes := make([]*testNode, o.n)
+	urls := make([]string, o.n)
+	for i := range nodes {
+		nd := &testNode{}
+		nd.ht = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if nd.down.Load() {
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return
+			}
+			if nd.reject.Load() && r.URL.Path == "/v1/replicate" {
+				w.WriteHeader(http.StatusBadRequest)
+				return
+			}
+			nd.h.ServeHTTP(w, r)
+		}))
+		nd.url = "http://" + nd.ht.Listener.Addr().String()
+		nodes[i], urls[i] = nd, nd.url
 	}
 	t.Cleanup(func() {
-		for _, ts := range hts {
-			ts.Close()
+		for _, nd := range nodes {
+			nd.ht.Close()
 		}
 	})
-	for i := range servers {
-		cl, err := cluster.New(cluster.Config{
-			Self:  urls[i],
-			Peers: urls,
-			Logf:  t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, nd := range nodes {
+		var ob *obs.Observer
+		if o.traced {
+			ob = obs.New(obs.Options{Node: nd.url, TraceRing: 256, SlowCapture: 8})
 		}
-		servers[i].AttachCluster(cl)
+		nd.srv = NewServer(store.New(store.Config{}), Config{Obs: ob})
+		if o.n > 1 {
+			cc := cluster.Config{Self: nd.url, Peers: urls, ReplicationFactor: o.rf, Logf: t.Logf, Obs: ob}
+			if o.clock != nil {
+				cc.BreakerThreshold, cc.Now = 1, o.clock.Now
+			}
+			cl, err := cluster.New(cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nd.srv.AttachCluster(cl)
+		}
+		if o.rf > 1 {
+			hintDir := ""
+			if o.hints {
+				hintDir = t.TempDir()
+			}
+			if err := nd.srv.StartReplication(ReplicationConfig{
+				HintDir:        hintDir,
+				DrainInterval:  time.Hour,
+				RepairInterval: -1,
+				Logf:           t.Logf,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(nd.srv.StopReplication)
+		}
+		nd.srv.SetState(StateServing)
+		nd.h = nd.srv.Handler()
+		nd.ht.Start()
 	}
-	return servers, hts, urls
+	return nodes
 }
 
 // keyedIngest POSTs one keyed batch and returns the response.
@@ -72,7 +144,7 @@ func keyedIngest(t *testing.T, url string, body []byte, id string, seq uint64) *
 // re-ack) relays byte-identically, and the data is queryable from any
 // node via scatter-gather while living on exactly one.
 func TestClusterForwardIngest(t *testing.T) {
-	servers, _, urls := newTestCluster(t, 3)
+	nodes := newTestRing(t, ringOptions{n: 3})
 	prof := testProfile(t, 1)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -81,39 +153,39 @@ func TestClusterForwardIngest(t *testing.T) {
 
 	// Pick a pusher identity owned by a node that is not the entry.
 	const id = "test-pusher-forwarding"
-	ownerURL := servers[0].Cluster().Owner(id)
+	ownerURL := nodes[0].srv.Cluster().Owner(id)
 	entry := -1
 	owner := -1
-	for i, u := range urls {
-		if u == ownerURL {
+	for i, nd := range nodes {
+		if nd.url == ownerURL {
 			owner = i
 		} else if entry == -1 {
 			entry = i
 		}
 	}
 	if owner == -1 {
-		t.Fatalf("owner %s not in ring %v", ownerURL, urls)
+		t.Fatalf("owner %s not in the ring", ownerURL)
 	}
 
-	resp := keyedIngest(t, urls[entry], body.Bytes(), id, 1)
+	resp := keyedIngest(t, nodes[entry].url, body.Bytes(), id, 1)
 	ack1, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded ingest: HTTP %d: %s", resp.StatusCode, ack1)
 	}
-	if servers[owner].batches.Load() != 1 || servers[entry].batches.Load() != 0 {
+	if nodes[owner].srv.batches.Load() != 1 || nodes[entry].srv.batches.Load() != 0 {
 		t.Fatalf("batch landed wrong: owner=%d entry=%d",
-			servers[owner].batches.Load(), servers[entry].batches.Load())
+			nodes[owner].srv.batches.Load(), nodes[entry].srv.batches.Load())
 	}
-	if servers[owner].forwardedIn.Load() != 1 {
+	if nodes[owner].srv.forwardedIn.Load() != 1 {
 		t.Fatal("owner did not count the forwarded arrival")
 	}
-	if s := servers[entry].Cluster().StatsSnapshot(); s.Forwards != 1 {
+	if s := nodes[entry].srv.Cluster().StatsSnapshot(); s.Forwards != 1 {
 		t.Fatalf("entry did not count the forward: %+v", s)
 	}
 
 	// A duplicate retry through the entry node re-acks with the owner's
 	// duplicate marker and an ack body identical to the original's.
-	resp2 := keyedIngest(t, urls[entry], body.Bytes(), id, 1)
+	resp2 := keyedIngest(t, nodes[entry].url, body.Bytes(), id, 1)
 	ack2, _ := io.ReadAll(resp2.Body)
 	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Witch-Duplicate") != "window" {
 		t.Fatalf("duplicate not re-acked through forward: HTTP %d, dup=%q",
@@ -122,14 +194,14 @@ func TestClusterForwardIngest(t *testing.T) {
 	if !bytes.Equal(ack1, ack2) {
 		t.Fatalf("re-ack drifted:\n%s\n%s", ack1, ack2)
 	}
-	if servers[owner].st.Query(0).Profiles() != 1 {
+	if nodes[owner].srv.st.Query(0).Profiles() != 1 {
 		t.Fatal("duplicate was re-merged on the owner")
 	}
 
 	// Fleet query from every node sees the same single profile; the
 	// entry node's local store stays empty.
-	for i, u := range urls {
-		r, err := http.Get(u + "/v1/top?tool=" + prof.Tool)
+	for i, nd := range nodes {
+		r, err := http.Get(nd.url + "/v1/top?tool=" + prof.Tool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +213,7 @@ func TestClusterForwardIngest(t *testing.T) {
 		}
 		r.Body.Close()
 	}
-	r, err := http.Get(urls[entry] + "/v1/top?tool=" + prof.Tool + "&scope=local")
+	r, err := http.Get(nodes[entry].url + "/v1/top?tool=" + prof.Tool + "&scope=local")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +228,7 @@ func TestClusterForwardIngest(t *testing.T) {
 // — the Incomplete marker in both header and body — and /v1/healthz
 // degrades instead of failing.
 func TestClusterPartialQuery(t *testing.T) {
-	servers, hts, urls := newTestCluster(t, 3)
+	nodes := newTestRing(t, ringOptions{n: 3})
 	prof := testProfile(t, 2)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -164,14 +236,14 @@ func TestClusterPartialQuery(t *testing.T) {
 	}
 	// Land one batch on node 0's local store directly (unkeyed, no
 	// forwarding), then kill node 2.
-	servers[0].SetState(StateServing)
-	resp := ingest(t, hts[0], body.Bytes())
+	nodes[0].srv.SetState(StateServing)
+	resp := ingest(t, nodes[0].ht, body.Bytes())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: HTTP %d", resp.StatusCode)
 	}
-	hts[2].Close()
+	nodes[2].ht.Close()
 
-	r, err := http.Get(urls[1] + "/v1/top?tool=" + prof.Tool)
+	r, err := http.Get(nodes[1].url + "/v1/top?tool=" + prof.Tool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +251,8 @@ func TestClusterPartialQuery(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("partial query: HTTP %d", r.StatusCode)
 	}
-	if got := r.Header.Get("X-Witch-Incomplete"); got != urls[2] {
-		t.Fatalf("X-Witch-Incomplete = %q, want %q", got, urls[2])
+	if got := r.Header.Get("X-Witch-Incomplete"); got != nodes[2].url {
+		t.Fatalf("X-Witch-Incomplete = %q, want %q", got, nodes[2].url)
 	}
 	var top struct {
 		Waste      float64  `json:"waste"`
@@ -189,14 +261,14 @@ func TestClusterPartialQuery(t *testing.T) {
 	if err := json.NewDecoder(r.Body).Decode(&top); err != nil {
 		t.Fatal(err)
 	}
-	if len(top.Incomplete) != 1 || top.Incomplete[0] != urls[2] {
+	if len(top.Incomplete) != 1 || top.Incomplete[0] != nodes[2].url {
 		t.Fatalf("incomplete field = %v", top.Incomplete)
 	}
 	if top.Waste != prof.Waste {
 		t.Fatalf("reachable data missing from partial answer: %v vs %v", top.Waste, prof.Waste)
 	}
 
-	hr, err := http.Get(urls[1] + "/v1/healthz")
+	hr, err := http.Get(nodes[1].url + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +285,81 @@ func TestClusterPartialQuery(t *testing.T) {
 	if fleet.Status != "degraded" || len(fleet.Nodes) != 3 {
 		t.Fatalf("fleet health: %+v", fleet)
 	}
-	if len(fleet.Incomplete) != 1 || fleet.Incomplete[0] != urls[2] {
+	if len(fleet.Incomplete) != 1 || fleet.Incomplete[0] != nodes[2].url {
 		t.Fatalf("fleet incomplete = %v", fleet.Incomplete)
 	}
 	if fleet.Profiles != 1 {
 		t.Fatalf("fleet profiles = %d", fleet.Profiles)
+	}
+}
+
+// TestShardRoutes: GET /v1/shard serves only the ?pusher= repair unit;
+// a window export without it is a 400 that names the POST delta
+// protocol, which keeps serving full and then empty deltas.
+func TestShardRoutes(t *testing.T) {
+	nodes := newTestRing(t, ringOptions{n: 2})
+	prof := testProfile(t, 4)
+	var body bytes.Buffer
+	if err := prof.WriteJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	const id = "shard-route-pusher"
+	if resp := keyedIngest(t, nodes[0].url, body.Bytes(), id, 1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("keyed ingest: HTTP %d", resp.StatusCode)
+	}
+	holder := nodes[0]
+	if nodes[1].srv.st.Query(0).Profiles() == 1 {
+		holder = nodes[1]
+	}
+
+	r, err := http.Get(holder.url + "/v1/shard?window=5m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "POST") {
+		t.Fatalf("GET /v1/shard without pusher: HTTP %d %.80q, want 400 naming POST", r.StatusCode, msg)
+	}
+
+	r, err = http.Get(holder.url + "/v1/shard?pusher=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pt cluster.PartitionTransfer
+	err = gob.NewDecoder(r.Body).Decode(&pt)
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK || err != nil || pt.DedupMax != 1 || pt.Image == nil {
+		t.Fatalf("repair unit: HTTP %d, err %v, dedup max %d", r.StatusCode, err, pt.DedupMax)
+	}
+
+	delta := func(ver store.ExportVersion) *cluster.ShardDelta {
+		t.Helper()
+		var req bytes.Buffer
+		if err := gob.NewEncoder(&req).Encode(&cluster.DeltaRequest{Ver: ver}); err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.Post(holder.url+"/v1/shard?window=5m", "application/x-gob", &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/shard: HTTP %d", r.StatusCode)
+		}
+		sd := new(cluster.ShardDelta)
+		if err := gob.NewDecoder(r.Body).Decode(sd); err != nil || sd.Delta == nil {
+			t.Fatalf("decoding shard delta: %v", err)
+		}
+		return sd
+	}
+	first := delta(store.ExportVersion{})
+	if !first.Delta.Full || first.Delta.Export == nil || first.Delta.Export.Parts[id] == nil {
+		t.Fatalf("first contact is not a full export holding %s: %+v", id, first.Delta)
+	}
+	again := delta(first.Delta.Ver)
+	if again.Delta.Full || (again.Delta.Export != nil && len(again.Delta.Export.Parts) != 0) {
+		t.Fatalf("unchanged store shipped a non-empty delta: %+v", again.Delta)
 	}
 }
 
@@ -259,19 +401,19 @@ func TestTopNValidation(t *testing.T) {
 // TestMetricsEndpoint: the plaintext counters cover ingest, store,
 // dedup, and — with a ring — cluster and per-peer breaker state.
 func TestMetricsEndpoint(t *testing.T) {
-	servers, _, urls := newTestCluster(t, 2)
+	nodes := newTestRing(t, ringOptions{n: 2})
 	prof := testProfile(t, 4)
 	var body bytes.Buffer
 	prof.WriteJSON(&body)
 	const id = "metrics-pusher"
 	entry := 0
-	if servers[0].Cluster().IsOwner(id) {
+	if nodes[0].srv.Cluster().IsOwner(id) {
 		entry = 1
 	}
-	if resp := keyedIngest(t, urls[entry], body.Bytes(), id, 1); resp.StatusCode != http.StatusOK {
+	if resp := keyedIngest(t, nodes[entry].url, body.Bytes(), id, 1); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: HTTP %d", resp.StatusCode)
 	}
-	r, err := http.Get(urls[entry] + "/metrics")
+	r, err := http.Get(nodes[entry].url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,85 +39,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// replicaNode is one member of an in-process replicated cluster whose
-// reachability tests flip with the down switch (the wrapper answers
-// 503 for everything, which is what a drowning or partitioned node
-// looks like to its peers' breakers). The reject switch instead 400s
-// replication legs only — a healthy-looking follower that durably
-// refuses the bytes (smaller MaxBody, decode bug).
-type replicaNode struct {
-	srv    *Server
-	ht     *httptest.Server
-	url    string
-	down   atomic.Bool
-	reject atomic.Bool
-}
-
-// newReplicaCluster boots n daemons with the given replication factor
-// and a running replication engine (hints on disk when withHints).
-// Background drain/repair loops are effectively disabled — tests call
-// DrainHintsNow/RepairNow for determinism.
-func newReplicaCluster(t *testing.T, n, rf int, withHints bool, clock *fakeClock) []*replicaNode {
-	t.Helper()
-	nodes := make([]*replicaNode, n)
-	urls := make([]string, n)
-	for i := range nodes {
-		nd := &replicaNode{srv: NewServer(store.New(store.Config{}), Config{})}
-		h := nd.srv.Handler()
-		nd.ht = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if nd.down.Load() {
-				w.Header().Set("Retry-After", "1")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				return
-			}
-			if nd.reject.Load() && r.URL.Path == "/v1/replicate" {
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			h.ServeHTTP(w, r)
-		}))
-		nd.url = nd.ht.URL
-		nodes[i] = nd
-		urls[i] = nd.url
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.ht.Close()
-		}
-	})
-	for _, nd := range nodes {
-		cl, err := cluster.New(cluster.Config{
-			Self: nd.url, Peers: urls,
-			ReplicationFactor: rf,
-			BreakerThreshold:  1,
-			Now:               clock.Now,
-			Logf:              t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.srv.AttachCluster(cl)
-		hintDir := ""
-		if withHints {
-			hintDir = t.TempDir()
-		}
-		if err := nd.srv.StartReplication(ReplicationConfig{
-			HintDir:        hintDir,
-			DrainInterval:  time.Hour,
-			RepairInterval: -1,
-			Logf:           t.Logf,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		srv := nd.srv
-		t.Cleanup(srv.StopReplication)
-		nd.srv.SetState(StateServing)
-	}
-	return nodes
-}
-
 // pickOwned returns a pusher id whose owner is nodes[want].
-func pickOwned(t *testing.T, nodes []*replicaNode, want int) string {
+func pickOwned(t *testing.T, nodes []*testNode, want int) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		id := fmt.Sprintf("pusher-%04d", i)
@@ -136,7 +57,7 @@ func pickOwned(t *testing.T, nodes []*replicaNode, want int) string {
 // members before the ack, lives on exactly those two, and fleet
 // queries count it once.
 func TestReplicaAckAfterReplicate(t *testing.T) {
-	nodes := newReplicaCluster(t, 3, 2, false, newFakeClock())
+	nodes := newTestRing(t, ringOptions{n: 3, rf: 2, clock: newFakeClock()})
 	prof := testProfile(t, 21)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -219,7 +140,7 @@ func TestReplicaAckAfterReplicate(t *testing.T) {
 // the follower drains the hints until both replicas are checksum-equal.
 func TestHintedHandoffAndDrain(t *testing.T) {
 	clock := newFakeClock()
-	nodes := newReplicaCluster(t, 2, 2, true, clock)
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, hints: true, clock: clock})
 	prof := testProfile(t, 22)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -276,7 +197,7 @@ func TestHintedHandoffAndDrain(t *testing.T) {
 // hinted.
 func TestPromotedFollowerReacksDuplicates(t *testing.T) {
 	clock := newFakeClock()
-	nodes := newReplicaCluster(t, 2, 2, true, clock)
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, hints: true, clock: clock})
 	prof := testProfile(t, 23)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -336,7 +257,7 @@ func TestPromotedFollowerReacksDuplicates(t *testing.T) {
 // wins, counted as a conflict.
 func TestAntiEntropyRepair(t *testing.T) {
 	clock := newFakeClock()
-	nodes := newReplicaCluster(t, 2, 2, false, clock)
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, clock: clock})
 	prof := testProfile(t, 24)
 	ctx := context.Background()
 	a, b := nodes[0], nodes[1]
@@ -399,7 +320,7 @@ func TestAntiEntropyRepair(t *testing.T) {
 // the rejection is counted, and the ring hash is visible in /v1/healthz
 // and /metrics.
 func TestRingMismatchRejected(t *testing.T) {
-	servers, _, urls := newTestCluster(t, 2)
+	nodes := newTestRing(t, ringOptions{n: 2})
 	prof := testProfile(t, 26)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -407,7 +328,7 @@ func TestRingMismatchRejected(t *testing.T) {
 	}
 
 	for _, path := range []string{"/v1/ingest", "/v1/replicate"} {
-		req, err := http.NewRequest(http.MethodPost, urls[0]+path, bytes.NewReader(body.Bytes()))
+		req, err := http.NewRequest(http.MethodPost, nodes[0].url+path, bytes.NewReader(body.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +343,7 @@ func TestRingMismatchRejected(t *testing.T) {
 			t.Fatalf("%s with skewed ring: HTTP %d, want 409", path, resp.StatusCode)
 		}
 	}
-	req, _ := http.NewRequest(http.MethodGet, urls[0]+"/v1/digest", nil)
+	req, _ := http.NewRequest(http.MethodGet, nodes[0].url+"/v1/digest", nil)
 	req.Header.Set(cluster.RingHeader, "deadbeefdeadbeef")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -433,20 +354,20 @@ func TestRingMismatchRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("digest with skewed ring: HTTP %d, want 409", resp.StatusCode)
 	}
-	if got := servers[0].ringMismatches.Load(); got != 3 {
+	if got := nodes[0].srv.ringMismatches.Load(); got != 3 {
 		t.Fatalf("ring mismatches counted %d, want 3", got)
 	}
-	if got := servers[0].st.Stats().Ingested; got != 0 {
+	if got := nodes[0].srv.st.Stats().Ingested; got != 0 {
 		t.Fatal("a ring-mismatched batch was merged")
 	}
 
 	// The matching ring (and no ring at all — pushers) pass.
-	if resp := keyedIngest(t, urls[0], body.Bytes(), "ring-pusher", 1); resp.StatusCode != http.StatusOK {
+	if resp := keyedIngest(t, nodes[0].url, body.Bytes(), "ring-pusher", 1); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ringless pusher ingest: HTTP %d", resp.StatusCode)
 	}
 
-	ring := servers[0].Cluster().RingHash()
-	hr, err := http.Get(urls[0] + "/v1/healthz")
+	ring := nodes[0].srv.Cluster().RingHash()
+	hr, err := http.Get(nodes[0].url + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +376,7 @@ func TestRingMismatchRejected(t *testing.T) {
 	if !strings.Contains(string(hb), ring) {
 		t.Fatalf("/v1/healthz does not expose the ring hash %s:\n%s", ring, hb)
 	}
-	mr, err := http.Get(urls[0] + "/metrics")
+	mr, err := http.Get(nodes[0].url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +393,7 @@ func TestRingMismatchRejected(t *testing.T) {
 // and a second scrape with unchanged counters is byte-identical, so
 // scrapes diff textually and dashboards never see keys move.
 func TestMetricsSortedStableOrder(t *testing.T) {
-	nodes := newReplicaCluster(t, 2, 2, false, newFakeClock())
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, clock: newFakeClock()})
 	scrape := func() (string, string) {
 		r, err := http.Get(nodes[0].url + "/metrics")
 		if err != nil {
@@ -576,7 +497,7 @@ func jsonDecode(r io.Reader, v any) error {
 // the partition's owner — never the reverse.
 func TestRepairPrefersFullerCopyAtEqualMax(t *testing.T) {
 	clock := newFakeClock()
-	nodes := newReplicaCluster(t, 2, 2, false, clock)
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, clock: clock})
 	prof := testProfile(t, 27)
 	ctx := context.Background()
 
@@ -758,7 +679,7 @@ func TestMemoryAdoptBarrier(t *testing.T) {
 // everything).
 func TestQueryPrefersHintHolder(t *testing.T) {
 	clock := newFakeClock()
-	nodes := newReplicaCluster(t, 2, 2, true, clock)
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, hints: true, clock: clock})
 	prof := testProfile(t, 33)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -791,7 +712,7 @@ func TestQueryPrefersHintHolder(t *testing.T) {
 	}
 
 	want := fetchProfile(t, f.url+"/v1/profile?tool="+prof.Tool+"&scope=local")
-	for name, nd := range map[string]*replicaNode{"owner": o, "follower": f} {
+	for name, nd := range map[string]*testNode{"owner": o, "follower": f} {
 		r, err := http.Get(nd.url + "/v1/profile?tool=" + prof.Tool)
 		if err != nil {
 			t.Fatal(err)
@@ -831,7 +752,7 @@ func fetchProfile(t *testing.T, url string) []byte {
 // must stop claiming completeness and name both peers.
 func TestQueryDivergedHintersMarkedIncomplete(t *testing.T) {
 	clock := newFakeClock()
-	nodes := newReplicaCluster(t, 2, 2, true, clock)
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, hints: true, clock: clock})
 	prof := testProfile(t, 34)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -895,7 +816,7 @@ func TestQueryDivergedHintersMarkedIncomplete(t *testing.T) {
 // counted.
 func TestFanoutPermanentRejectionNotHinted(t *testing.T) {
 	clock := newFakeClock()
-	nodes := newReplicaCluster(t, 2, 2, true, clock)
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, hints: true, clock: clock})
 	prof := testProfile(t, 35)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -925,7 +846,7 @@ func TestFanoutPermanentRejectionNotHinted(t *testing.T) {
 // and hints queued behind it still flow once the peer behaves.
 func TestDrainSkipsPermanentlyRejectedHints(t *testing.T) {
 	clock := newFakeClock()
-	nodes := newReplicaCluster(t, 2, 2, true, clock)
+	nodes := newTestRing(t, ringOptions{n: 2, rf: 2, hints: true, clock: clock})
 	prof := testProfile(t, 36)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {

@@ -186,7 +186,8 @@ func (s *Server) Cluster() *cluster.Router { return s.cl }
 //	POST /v1/replicate one keyed batch from a replica coordinator (journal-before-ack, no re-fanout)
 //	GET  /v1/top       ranked merged pairs (tool, window, program, n) — fleet-wide with a cluster
 //	GET  /v1/profile   full merged profile in the WriteJSON schema — fleet-wide with a cluster
-//	GET  /v1/shard     this node's partitioned export (gob), the scatter/repair unit (?pusher= for one partition)
+//	POST /v1/shard     this node's window export as a delta against the caller's version vector (gob), the scatter unit
+//	GET  /v1/shard     ?pusher= one partition plus its dedup window (gob), the anti-entropy repair unit
 //	GET  /v1/digest    per-pusher (maxSeq, checksum) anti-entropy digest
 //	GET  /v1/healthz   fleet health: every peer's row plus the merged rollup
 //	GET  /v1/trace/{id} cross-node span tree for one trace (?scope=local for this node's spans only)
@@ -580,7 +581,7 @@ func queryWindow(r *http.Request) (time.Duration, error) {
 
 // view resolves the tool/window/program parameters to a merged view.
 // With a cluster attached the view is fleet-wide: every reachable
-// peer's /v1/shard export is gathered beside the local one, anonymous
+// peer's /v1/shard delta export is gathered beside the local one, anonymous
 // partitions merge from every node, and each pusher partition merges
 // from exactly one holder — so replicated data is never counted twice.
 //
@@ -707,8 +708,7 @@ func (s *Server) gather(w http.ResponseWriter, r *http.Request) (g gathered, ok 
 }
 
 // materialize pays the merge a gathered query describes. Holder choice
-// is the hint-aware selection documented above — preserved exactly
-// from the pre-delta scatter path.
+// is the hint-aware selection documented on view.
 func (s *Server) materialize(g gathered) *agg.Aggregator {
 	defer s.cfg.Obs.StageSince(obs.StageFold, s.cfg.Obs.Start())
 	if g.local {

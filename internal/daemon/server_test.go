@@ -347,14 +347,8 @@ func TestConcurrentPushersWithEviction(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Odd pushers negotiate the binary encoding, even ones stay
-			// JSON — the merged view must not care.
-			enc := "json"
-			if i%2 == 1 {
-				enc = "binary"
-			}
 			p, err := witch.NewPusher(witch.PusherOptions{
-				URL: ts.URL, Queue: perP, Backoff: time.Millisecond, Encoding: enc,
+				URL: ts.URL, Queue: perP, Backoff: time.Millisecond,
 			})
 			if err != nil {
 				t.Error(err)

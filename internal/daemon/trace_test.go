@@ -9,63 +9,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/witch"
 )
-
-// newTracedCluster boots n replicated daemons with an Observer wired
-// into both the handler layer and the cluster router, so spans chain
-// across forward and replicate legs.
-func newTracedCluster(t *testing.T, n, rf int) ([]*Server, []string) {
-	t.Helper()
-	servers := make([]*Server, n)
-	urls := make([]string, n)
-	hts := make([]*httptest.Server, n)
-	for i := range servers {
-		hts[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-		urls[i] = hts[i].URL
-	}
-	for i := range servers {
-		ob := obs.New(obs.Options{Node: urls[i], TraceRing: 256, SlowCapture: 8})
-		servers[i] = NewServer(store.New(store.Config{}), Config{Obs: ob})
-		if n > 1 {
-			cl, err := cluster.New(cluster.Config{
-				Self: urls[i], Peers: urls,
-				ReplicationFactor: rf,
-				Logf:              t.Logf,
-				Obs:               ob,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			servers[i].AttachCluster(cl)
-		}
-		if rf > 1 {
-			if err := servers[i].StartReplication(ReplicationConfig{
-				DrainInterval:  time.Hour,
-				RepairInterval: -1,
-				Logf:           t.Logf,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			srv := servers[i]
-			t.Cleanup(srv.StopReplication)
-		}
-		servers[i].SetState(StateServing)
-		h := servers[i].Handler()
-		hts[i].Config.Handler = h
-	}
-	t.Cleanup(func() {
-		for _, ht := range hts {
-			ht.Close()
-		}
-	})
-	return servers, urls
-}
 
 // TestTracePropagationAcrossForwardAndReplicate: one keyed ingest
 // carrying an X-Witch-Trace header, entered at a node outside the
@@ -74,7 +22,7 @@ func newTracedCluster(t *testing.T, n, rf int) ([]*Server, []string) {
 // and GET /v1/trace/{id} against the entry node gathers the whole
 // tree in one query.
 func TestTracePropagationAcrossForwardAndReplicate(t *testing.T) {
-	servers, urls := newTracedCluster(t, 3, 2)
+	nodes := newTestRing(t, ringOptions{n: 3, rf: 2, traced: true})
 	prof := testProfile(t, 31)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
@@ -87,8 +35,8 @@ func TestTracePropagationAcrossForwardAndReplicate(t *testing.T) {
 	for i := 0; i < 10000 && id == ""; i++ {
 		cand := fmt.Sprintf("traced-%04d", i)
 		excluded := true
-		for _, peer := range servers[0].Cluster().ReplicaSet(cand) {
-			if peer == urls[entry] {
+		for _, peer := range nodes[0].srv.Cluster().ReplicaSet(cand) {
+			if peer == nodes[entry].url {
 				excluded = false
 			}
 		}
@@ -101,7 +49,7 @@ func TestTracePropagationAcrossForwardAndReplicate(t *testing.T) {
 	}
 
 	const header = "00000000deadbeef-0000000000000001"
-	req, err := http.NewRequest(http.MethodPost, urls[entry]+"/v1/ingest", bytes.NewReader(body.Bytes()))
+	req, err := http.NewRequest(http.MethodPost, nodes[entry].url+"/v1/ingest", bytes.NewReader(body.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +72,7 @@ func TestTracePropagationAcrossForwardAndReplicate(t *testing.T) {
 		Spans      []obs.Span `json:"spans"`
 		Incomplete []string   `json:"incomplete"`
 	}
-	r, err := http.Get(urls[entry] + "/v1/trace/00000000deadbeef")
+	r, err := http.Get(nodes[entry].url + "/v1/trace/00000000deadbeef")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +128,7 @@ func TestTracePropagationAcrossForwardAndReplicate(t *testing.T) {
 	}
 
 	// scope=local confines the answer to the queried node.
-	r2, err := http.Get(urls[entry] + "/v1/trace/00000000deadbeef?scope=local")
+	r2, err := http.Get(nodes[entry].url + "/v1/trace/00000000deadbeef?scope=local")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +139,15 @@ func TestTracePropagationAcrossForwardAndReplicate(t *testing.T) {
 	if err := json.NewDecoder(r2.Body).Decode(&local); err != nil {
 		t.Fatal(err)
 	}
-	if len(local.Nodes) != 1 || local.Nodes[0] != urls[entry] {
-		t.Fatalf("scope=local answered for nodes %v, want just %s", local.Nodes, urls[entry])
+	if len(local.Nodes) != 1 || local.Nodes[0] != nodes[entry].url {
+		t.Fatalf("scope=local answered for nodes %v, want just %s", local.Nodes, nodes[entry].url)
 	}
 }
 
 // TestTraceEndpointValidation: malformed IDs 400, unknown IDs 404,
 // and a daemon without an observer says tracing is off.
 func TestTraceEndpointValidation(t *testing.T) {
-	_, urls := newTracedCluster(t, 1, 1)
+	nodes := newTestRing(t, ringOptions{n: 1, traced: true})
 	for _, tc := range []struct {
 		path string
 		want int
@@ -208,7 +156,7 @@ func TestTraceEndpointValidation(t *testing.T) {
 		{"/v1/trace/", http.StatusBadRequest},
 		{"/v1/trace/00000000000000ff", http.StatusNotFound}, // never recorded
 	} {
-		r, err := http.Get(urls[0] + tc.path)
+		r, err := http.Get(nodes[0].url + tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,13 +183,13 @@ func TestTraceEndpointValidation(t *testing.T) {
 // TestSlowCapture: ingests and queries land in the slow ring with
 // their kind and duration, served by /v1/slow.
 func TestSlowCapture(t *testing.T) {
-	_, urls := newTracedCluster(t, 1, 1)
+	nodes := newTestRing(t, ringOptions{n: 1, traced: true})
 	prof := testProfile(t, 7)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(urls[0]+"/v1/ingest", "application/json", bytes.NewReader(body.Bytes()))
+	resp, err := http.Post(nodes[0].url+"/v1/ingest", "application/json", bytes.NewReader(body.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,13 +197,13 @@ func TestSlowCapture(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: HTTP %d", resp.StatusCode)
 	}
-	q, err := http.Get(urls[0] + "/v1/top?tool=" + prof.Tool)
+	q, err := http.Get(nodes[0].url + "/v1/top?tool=" + prof.Tool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Body.Close()
 
-	r, err := http.Get(urls[0] + "/v1/slow")
+	r, err := http.Get(nodes[0].url + "/v1/slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +234,7 @@ func TestSlowCapture(t *testing.T) {
 	}
 
 	// The serving node also exposes the pipeline histograms.
-	m, err := http.Get(urls[0] + "/metrics")
+	m, err := http.Get(nodes[0].url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

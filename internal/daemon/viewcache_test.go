@@ -144,13 +144,13 @@ func synthProfile(program string, n int, seed int64) *witch.Profile {
 // ship deltas (near-zero bytes) and serve byte-identical responses;
 // new ingest on a peer is visible on the very next query.
 func TestDeltaScatterConvergesAndCountsLegs(t *testing.T) {
-	servers, _, urls := newTestCluster(t, 3)
+	nodes := newTestRing(t, ringOptions{n: 3})
 	prof := testProfile(t, 1)
 	var body bytes.Buffer
 	if err := prof.WriteJSON(&body); err != nil {
 		t.Fatal(err)
 	}
-	if r := keyedIngest(t, urls[1], body.Bytes(), "delta-pusher-a", 1); r.StatusCode != http.StatusOK {
+	if r := keyedIngest(t, nodes[1].url, body.Bytes(), "delta-pusher-a", 1); r.StatusCode != http.StatusOK {
 		t.Fatalf("seed ingest: HTTP %d", r.StatusCode)
 	}
 	// Bulk state so full exports dwarf gob framing: the byte-reduction
@@ -160,14 +160,14 @@ func TestDeltaScatterConvergesAndCountsLegs(t *testing.T) {
 		if err := synthProfile(fmt.Sprintf("prog-%d", i), 400, int64(i)+1).WriteJSON(&b); err != nil {
 			t.Fatal(err)
 		}
-		if r := keyedIngest(t, urls[i%3], b.Bytes(), fmt.Sprintf("bulk-pusher-%d", i), 1); r.StatusCode != http.StatusOK {
+		if r := keyedIngest(t, nodes[i%3].url, b.Bytes(), fmt.Sprintf("bulk-pusher-%d", i), 1); r.StatusCode != http.StatusOK {
 			t.Fatalf("bulk ingest %d: HTTP %d", i, r.StatusCode)
 		}
 	}
 
-	topURL := urls[0] + "/v1/top?tool=" + prof.Tool
+	topURL := nodes[0].url + "/v1/top?tool=" + prof.Tool
 	_, top1 := getBody(t, topURL)
-	cs := servers[0].Cluster().StatsSnapshot()
+	cs := nodes[0].srv.Cluster().StatsSnapshot()
 	if cs.ScatterFullLegs == 0 {
 		t.Fatalf("first fleet query paid no full legs: %+v", cs)
 	}
@@ -179,7 +179,7 @@ func TestDeltaScatterConvergesAndCountsLegs(t *testing.T) {
 			t.Fatalf("repeat fleet query %d drifted", i)
 		}
 	}
-	cs2 := servers[0].Cluster().StatsSnapshot()
+	cs2 := nodes[0].srv.Cluster().StatsSnapshot()
 	if cs2.ScatterDeltaLegs == 0 {
 		t.Fatalf("steady-state queries paid no delta legs: %+v", cs2)
 	}
@@ -200,7 +200,7 @@ func TestDeltaScatterConvergesAndCountsLegs(t *testing.T) {
 	if err := prof2.WriteJSON(&body); err != nil {
 		t.Fatal(err)
 	}
-	keyedIngest(t, urls[2], body.Bytes(), "delta-pusher-b", 1)
+	keyedIngest(t, nodes[2].url, body.Bytes(), "delta-pusher-b", 1)
 	_, top3 := getBody(t, topURL)
 	if bytes.Equal(top1, top3) {
 		t.Fatal("fleet query did not see a peer's new ingest through the delta path")
@@ -208,7 +208,7 @@ func TestDeltaScatterConvergesAndCountsLegs(t *testing.T) {
 
 	// And the view byte-agrees with a fresh coordinator that never had
 	// a baseline (full fetch path).
-	_, topFresh := getBody(t, urls[1]+"/v1/top?tool="+prof.Tool)
+	_, topFresh := getBody(t, nodes[1].url+"/v1/top?tool="+prof.Tool)
 	if !bytes.Equal(top3, topFresh) {
 		t.Fatalf("delta-patched view diverges from fresh full view:\n%s\n%s", top3, topFresh)
 	}

@@ -362,7 +362,7 @@ func runClusterScale(prof *witch.Profile, nodes, perNode, perPusher int, syncDel
 func ownedPusher(cns []*clusterNode, entryURL string, owner, queue int) (*witch.Pusher, error) {
 	for try := 0; try < 200; try++ {
 		p, err := witch.NewPusher(witch.PusherOptions{
-			URL: entryURL, Queue: queue, Encoding: "binary",
+			URL: entryURL, Queue: queue,
 			Backoff: time.Millisecond,
 			Client:  &http.Client{Timeout: 10 * time.Second},
 			Logf:    func(string, ...any) {},
@@ -416,10 +416,6 @@ func runClusterChaos(base *witch.Profile, o Options) (clusterChaos, error) {
 	for i := range ps {
 		prof := *base
 		prof.Program = fmt.Sprintf("prog-%02d", i)
-		encoding := "json"
-		if i%2 == 1 {
-			encoding = "binary"
-		}
 		owner := i % 3
 		var others []string
 		for j, cn := range cns {
@@ -429,23 +425,13 @@ func runClusterChaos(base *witch.Profile, o Options) (clusterChaos, error) {
 		}
 		cp := &deliveryPusher{
 			prof:     &prof,
-			encoding: encoding,
 			spoolDir: filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
 			url:      cns[owner].url,
 			urls:     others,
 			byReason: map[string]uint64{},
 		}
-		if encoding == "binary" {
-			if cp.body, err = prof.AppendBinary(nil); err != nil {
-				return res, err
-			}
-			cp.ctype = witch.BinaryContentType
-		} else {
-			var buf bytes.Buffer
-			if err := prof.WriteJSONCompact(&buf); err != nil {
-				return res, err
-			}
-			cp.body, cp.ctype = buf.Bytes(), "application/json"
+		if cp.body, err = prof.AppendBinary(nil); err != nil {
+			return res, err
 		}
 		// Re-draw the durable identity until node i%3 owns it: open the
 		// spool (which mints and persists the ID), check, discard.
@@ -578,7 +564,7 @@ func clusterOracleCompare(cns []*clusterNode, now func() time.Time, ps []*delive
 	for i, cp := range ps {
 		for k := uint64(0); k < cp.sent; k++ {
 			req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(cp.body))
-			req.Header.Set("Content-Type", cp.ctype)
+			req.Header.Set("Content-Type", witch.BinaryContentType)
 			rec := httptest.NewRecorder()
 			oh.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {

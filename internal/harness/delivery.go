@@ -206,8 +206,6 @@ func (d *deliveryDaemon) stop() error {
 type deliveryPusher struct {
 	prof      *witch.Profile
 	body      []byte // oracle replays this exact wire body
-	ctype     string
-	encoding  string
 	spoolDir  string
 	spoolMax  int64
 	url       string
@@ -251,7 +249,6 @@ func (cp *deliveryPusher) open(faulty bool) error {
 		BreakerThreshold:  3,
 		BreakerCooldown:   20 * time.Millisecond,
 		Logf:              func(string, ...any) {},
-		Encoding:          cp.encoding,
 		SpoolDir:          cp.spoolDir,
 		SpoolMaxBytes:     cp.spoolMax,
 		SpoolSegmentBytes: 512,
@@ -365,13 +362,8 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 		// a private accumulator whose bytes witness its delivery count.
 		prof := *base
 		prof.Program = fmt.Sprintf("prog-%02d", i)
-		encoding := "json"
-		if i%2 == 1 {
-			encoding = "binary"
-		}
 		cp := &deliveryPusher{
 			prof:      &prof,
-			encoding:  encoding,
 			spoolDir:  filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
 			spoolMax:  c.spoolMax,
 			url:       "http://" + d.addr,
@@ -379,17 +371,8 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 			diskInj:   diskInj,
 			byReason:  map[string]uint64{},
 		}
-		if encoding == "binary" {
-			if cp.body, err = prof.AppendBinary(nil); err != nil {
-				return res, err
-			}
-			cp.ctype = witch.BinaryContentType
-		} else {
-			var buf bytes.Buffer
-			if err := prof.WriteJSONCompact(&buf); err != nil {
-				return res, err
-			}
-			cp.body, cp.ctype = buf.Bytes(), "application/json"
+		if cp.body, err = prof.AppendBinary(nil); err != nil {
+			return res, err
 		}
 		if err := cp.open(true); err != nil {
 			return res, err
@@ -564,7 +547,7 @@ func deliveryOracleCompare(d *deliveryDaemon, now func() time.Time, ps []*delive
 	for i, cp := range ps {
 		for k := uint64(0); k < cp.sent; k++ {
 			req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(cp.body))
-			req.Header.Set("Content-Type", cp.ctype)
+			req.Header.Set("Content-Type", witch.BinaryContentType)
 			rec := httptest.NewRecorder()
 			oh.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {

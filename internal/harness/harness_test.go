@@ -18,6 +18,8 @@ func runExp(t *testing.T, fn func(io.Writer, Options) error) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := fn(&buf, quick); err != nil {
+		// The report printed before the failing gate is the evidence.
+		t.Log(buf.String())
 		t.Fatal(err)
 	}
 	return buf.String()

@@ -157,7 +157,7 @@ func runObsLoad(prof *witch.Profile, pushers, perPusher int, enabled bool) (time
 	ps := make([]*witch.Pusher, pushers)
 	for i := range ps {
 		if ps[i], err = witch.NewPusher(witch.PusherOptions{
-			URL: cns[0].url, Queue: perPusher, Encoding: "binary",
+			URL: cns[0].url, Queue: perPusher,
 			Backoff: time.Millisecond,
 			Client:  &http.Client{Timeout: 10 * time.Second},
 			Logf:    func(string, ...any) {},
@@ -243,7 +243,7 @@ func runObsTrace(prof *witch.Profile, o Options) (obsTraceTree, error) {
 		// entry hop, the owner, and the replica are three distinct nodes.
 		for try := 0; try < 400; try++ {
 			p, err := witch.NewPusher(witch.PusherOptions{
-				URL: cns[0].url, Queue: perPusher, Encoding: "binary",
+				URL: cns[0].url, Queue: perPusher,
 				Backoff: time.Millisecond,
 				Client:  &http.Client{Timeout: 10 * time.Second},
 				Logf:    func(string, ...any) {},

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -355,10 +354,6 @@ func replicaPushers(cns []*clusterNode, base *witch.Profile, pushers int, root s
 	for i := range ps {
 		prof := *base
 		prof.Program = fmt.Sprintf("prog-%02d", i)
-		encoding := "json"
-		if i%2 == 1 {
-			encoding = "binary"
-		}
 		owner := i % 3
 		entry := (owner + 1) % 3
 		var others []string
@@ -369,7 +364,6 @@ func replicaPushers(cns []*clusterNode, base *witch.Profile, pushers int, root s
 		}
 		cp := &deliveryPusher{
 			prof:     &prof,
-			encoding: encoding,
 			spoolDir: filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
 			url:      cns[entry].url,
 			urls:     others,
@@ -377,17 +371,8 @@ func replicaPushers(cns []*clusterNode, base *witch.Profile, pushers int, root s
 			byReason: map[string]uint64{},
 		}
 		var err error
-		if encoding == "binary" {
-			if cp.body, err = prof.AppendBinary(nil); err != nil {
-				return nil, err
-			}
-			cp.ctype = witch.BinaryContentType
-		} else {
-			var buf bytes.Buffer
-			if err := prof.WriteJSONCompact(&buf); err != nil {
-				return nil, err
-			}
-			cp.body, cp.ctype = buf.Bytes(), "application/json"
+		if cp.body, err = prof.AppendBinary(nil); err != nil {
+			return nil, err
 		}
 		// Re-draw the durable identity until node i%3 owns it.
 		for try := 0; ; try++ {

@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// This file is the ingest fast-path codec: a compact binary profile
-// encoding negotiated between witch.Pusher and witchd, and a pooled
-// batch decoder that serves both that format and the JSON schema
-// without per-batch allocation churn.
+// This file is the ingest fast-path codec: the compact binary profile
+// encoding witch.Pusher always sends, and a pooled batch decoder that
+// serves both that format and the JSON schema (curl, older spool
+// entries) without per-batch allocation churn.
 //
 // Binary wire format (one document; a batch is documents concatenated):
 //
@@ -33,10 +33,9 @@ import (
 // witchd's journal replay and its ingest handler sniff bytes rather
 // than trusting a Content-Type header.
 
-// BinaryContentType is the Content-Type under which a Pusher offers the
-// compact binary profile encoding. A daemon that does not know it
-// answers 415 (or a pre-negotiation 400) and the pusher falls back to
-// JSON permanently for that connection's lifetime.
+// BinaryContentType is the Content-Type under which a Pusher sends the
+// compact binary profile encoding. The daemon sniffs the magic rather
+// than trusting the header, so the type is informational.
 const BinaryContentType = "application/x-witch-profile"
 
 // binaryMagic self-identifies a binary profile document.

@@ -97,13 +97,6 @@ type PusherOptions struct {
 	// suppressed so a dead daemon costs one line, not one per profile.
 	// Defaults to log.Printf; use a no-op func to silence.
 	Logf func(format string, args ...any)
-	// Encoding selects the wire format: "json" (the default) or
-	// "binary", the compact encoding witchd negotiates by Content-Type.
-	// A binary pusher talking to a daemon that does not know the format
-	// (415 or 400 responses) logs once, counts the event, and falls back
-	// to JSON for the rest of its lifetime — delivery never fails over a
-	// format preference.
-	Encoding string
 	// SpoolDir enables the durable spool: a disk-backed overflow queue
 	// (internal/wal segments) that catches profiles the daemon cannot
 	// take right now — breaker open, queue full, retries exhausted —
@@ -160,9 +153,6 @@ type PusherStats struct {
 	// Failovers counts delivery-target rotations (only with
 	// PusherOptions.URLs): each failed attempt moves to the next peer.
 	Failovers uint64
-	// EncodingFallbacks counts binary-to-JSON downgrades (0 or 1: the
-	// fallback latches).
-	EncodingFallbacks uint64
 	// Spooled counts profiles parked in the durable spool; Replayed
 	// counts spool entries later delivered. SpoolPending is the durable
 	// backlog right now — at quiescence, Enqueued = Sent + Dropped +
@@ -264,14 +254,9 @@ type Pusher struct {
 	hist      *obs.Histogram
 	lastTrace atomic.Pointer[string]
 
-	// Encoder state, touched only by the sender goroutine: binary flips
-	// to false (permanently) when the daemon rejects the format, and the
-	// buffers are reused across deliveries so a long-lived pusher
-	// encodes with zero steady-state allocations.
-	binary    bool
-	encBuf    []byte
-	jsonBuf   bytes.Buffer
-	fallbacks atomic.Uint64
+	// encBuf is the sender's reused encode buffer, so a long-lived
+	// pusher encodes with zero steady-state allocations.
+	encBuf []byte
 }
 
 // NewPusher starts a pusher's background sender. With SpoolDir set it
@@ -328,13 +313,6 @@ func NewPusher(opts PusherOptions) (*Pusher, error) {
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
 	}
-	switch opts.Encoding {
-	case "":
-		opts.Encoding = "json"
-	case "json", "binary":
-	default:
-		return nil, fmt.Errorf("witch: PusherOptions.Encoding must be \"json\" or \"binary\", got %q", opts.Encoding)
-	}
 	if opts.SpoolMaxBytes <= 0 {
 		opts.SpoolMaxBytes = 64 << 20
 	}
@@ -349,7 +327,6 @@ func NewPusher(opts PusherOptions) (*Pusher, error) {
 		quit:       make(chan struct{}),
 		byReason:   make(map[string]uint64),
 		brCooldown: opts.BreakerCooldown,
-		binary:     opts.Encoding == "binary",
 		rng:        rand.New(rand.NewSource(randSeed())),
 	}
 	if !opts.NoTrace {
@@ -485,19 +462,18 @@ func (p *Pusher) Stats() PusherStats {
 	}
 	p.reasonMu.Unlock()
 	st := PusherStats{
-		Enqueued:          p.enqueued.Load(),
-		Sent:              p.sent.Load(),
-		Dropped:           p.dropped.Load(),
-		DroppedByReason:   byReason,
-		Retries:           p.retries.Load(),
-		Errors:            p.errors.Load(),
-		BreakerTrips:      p.trips.Load(),
-		Failovers:         p.failovers.Load(),
-		EncodingFallbacks: p.fallbacks.Load(),
-		Spooled:           p.spooled.Load(),
-		Replayed:          p.replayed.Load(),
-		SpoolPending:      p.spoolPending.Load(),
-		SpoolEvicted:      p.spoolEvicted.Load(),
+		Enqueued:        p.enqueued.Load(),
+		Sent:            p.sent.Load(),
+		Dropped:         p.dropped.Load(),
+		DroppedByReason: byReason,
+		Retries:         p.retries.Load(),
+		Errors:          p.errors.Load(),
+		BreakerTrips:    p.trips.Load(),
+		Failovers:       p.failovers.Load(),
+		Spooled:         p.spooled.Load(),
+		Replayed:        p.replayed.Load(),
+		SpoolPending:    p.spoolPending.Load(),
+		SpoolEvicted:    p.spoolEvicted.Load(),
 	}
 	if p.hist != nil {
 		snap := p.hist.Snapshot()
@@ -693,14 +669,8 @@ func (p *Pusher) finalSpool() {
 
 // spoolProfile encodes a profile and parks it with a fresh sequence.
 func (p *Pusher) spoolProfile(prof *Profile) {
-	p.spoolEncoded(p.allocSeq(), prof)
-}
-
-// spoolEncoded encodes and parks a profile under an already-issued
-// sequence (the direct path spools retries under their original
-// sequence, so a daemon that did receive an earlier attempt dedups it).
-func (p *Pusher) spoolEncoded(seq uint64, prof *Profile) {
-	body, _, err := p.encode(prof)
+	seq := p.allocSeq()
+	body, err := p.encode(prof)
 	if err != nil {
 		p.errors.Add(1)
 		p.drop(DropEncode)
@@ -713,6 +683,9 @@ func (p *Pusher) spoolEncoded(seq uint64, prof *Profile) {
 // forced.
 func (p *Pusher) spoolBody(seq uint64, body []byte) {
 	evicted, err := p.sp.append(seq, body)
+	// Evicted entries leave SpoolPending before they count as dropped
+	// (see drainChunk).
+	p.syncSpoolStats()
 	if evicted > 0 {
 		p.dropped.Add(evicted)
 		p.reasonMu.Lock()
@@ -725,11 +698,9 @@ func (p *Pusher) spoolBody(seq uint64, body []byte) {
 	if err != nil {
 		p.errors.Add(1)
 		p.drop(DropSpoolError)
-		p.syncSpoolStats()
 		return
 	}
 	p.spooled.Add(1)
-	p.syncSpoolStats()
 }
 
 // spoolReplayChunk bounds how many backlog entries one drain pass
@@ -756,51 +727,32 @@ func (p *Pusher) drainChunk() bool {
 		return true
 	}
 	for _, e := range entries {
-		raw := e.body
-		body, ctype := raw, "application/json"
-		if IsBinaryProfile(raw) {
-			if p.binary {
-				ctype = BinaryContentType
-			} else {
-				// Spooled before the JSON fallback latched; transcode.
-				var terr error
-				if body, ctype, terr = p.transcode(raw); terr != nil {
-					p.poisonEntry(e, terr)
-					continue
-				}
-			}
+		// Entries an older JSON-encoding pusher parked still drain: the
+		// bytes go out unchanged and the daemon sniffs the body anyway.
+		ctype := "application/json"
+		if IsBinaryProfile(e.body) {
+			ctype = BinaryContentType
 		}
-		switch p.trySend(body, ctype, e.seq, func() ([]byte, string, error) { return p.transcode(raw) }) {
+		switch p.trySend(e.body, ctype, e.seq) {
 		case sendOK:
+			// Leave SpoolPending before counting Sent: Stats may lag a
+			// resolution but never count one twice, or a caller waiting
+			// for Enqueued = Sent + Dropped + SpoolPending could take a
+			// profile still queued in memory for resolved.
+			err := p.sp.ack(e.lsn)
+			p.syncSpoolStats()
 			p.replayed.Add(1)
-			if err := p.sp.ack(e.lsn); err != nil {
+			p.recovered()
+			if err != nil {
 				p.errors.Add(1)
 				p.opts.Logf("witch: pusher to %s: spool ack failed: %v", p.url, err)
-				p.syncSpoolStats()
 				return false
 			}
-			p.syncSpoolStats()
-		case sendBad:
-			p.poisonEntry(e, nil)
 		case sendBusy, sendQuit:
 			return false
 		}
 	}
 	return true
-}
-
-// poisonEntry drops an undeliverable-by-content spool entry and
-// advances the cursor past it so it cannot wedge the backlog.
-func (p *Pusher) poisonEntry(e spoolEntry, err error) {
-	p.errors.Add(1)
-	p.drop(DropEncode)
-	if err != nil {
-		p.opts.Logf("witch: pusher to %s: dropping undecodable spool entry (lsn %d): %v", p.url, e.lsn, err)
-	}
-	if aerr := p.sp.ack(e.lsn); aerr != nil {
-		p.opts.Logf("witch: pusher to %s: spool ack failed: %v", p.url, aerr)
-	}
-	p.syncSpoolStats()
 }
 
 // deliverOrSpool handles a fresh profile when the spool backlog is
@@ -809,47 +761,24 @@ func (p *Pusher) poisonEntry(e spoolEntry, err error) {
 // spool, "retries exhausted" means "not now", not "never".
 func (p *Pusher) deliverOrSpool(prof *Profile) {
 	seq := p.allocSeq()
-	if time.Until(p.brOpenTill) > 0 {
-		p.spoolEncoded(seq, prof)
-		return
-	}
-	body, ctype, err := p.encode(prof)
+	body, err := p.encode(prof)
 	if err != nil {
 		p.errors.Add(1)
 		p.drop(DropEncode)
 		return
 	}
-	switch p.trySend(body, ctype, seq, func() ([]byte, string, error) { return p.encode(prof) }) {
+	if time.Until(p.brOpenTill) > 0 {
+		p.spoolBody(seq, body)
+		return
+	}
+	switch p.trySend(body, BinaryContentType, seq) {
 	case sendOK:
-	case sendBad:
-		p.errors.Add(1)
-		p.drop(DropEncode)
+		p.recovered()
 	case sendBusy, sendQuit:
 		// The daemon may have processed an attempt whose ack was lost;
 		// spooling under the same sequence keeps the retry dedupable.
-		p.spoolEncoded(seq, prof)
+		p.spoolBody(seq, body)
 	}
-}
-
-// transcode rewrites a spooled binary body as JSON after the daemon
-// rejected the binary format.
-func (p *Pusher) transcode(body []byte) ([]byte, string, error) {
-	if !IsBinaryProfile(body) {
-		return body, "application/json", nil
-	}
-	var dec BatchDecoder
-	profs, err := dec.Decode(body)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(profs) != 1 {
-		return nil, "", fmt.Errorf("witch: spool entry holds %d profiles, want 1", len(profs))
-	}
-	var buf bytes.Buffer
-	if err := profs[0].WriteJSONCompact(&buf); err != nil {
-		return nil, "", err
-	}
-	return buf.Bytes(), "application/json", nil
 }
 
 // sendResult is one trySend outcome.
@@ -863,36 +792,22 @@ const (
 	sendBusy
 	// sendQuit: the pusher began closing mid-backoff.
 	sendQuit
-	// sendBad: the body cannot be (re-)encoded; the entry is poison.
-	sendBad
 )
 
 // trySend attempts delivery with bounded, full-jittered retries. It
 // never blocks on an open breaker — the spool is the wait room — and
-// charges the breaker exactly like the memory-only path does. reenc
-// re-serializes the body after a binary→JSON format fallback.
-func (p *Pusher) trySend(body []byte, ctype string, seq uint64, reenc func() ([]byte, string, error)) sendResult {
+// charges the breaker exactly like the memory-only path does. On
+// sendOK the caller counts the delivery, after its spool bookkeeping.
+func (p *Pusher) trySend(body []byte, ctype string, seq uint64) sendResult {
 	backoff := p.opts.Backoff
 	for attempt := 0; ; attempt++ {
 		if time.Until(p.brOpenTill) > 0 {
 			return sendBusy
 		}
-		retryAfter, status, ok := p.post(body, ctype, seq)
+		retryAfter, ok := p.post(body, ctype, seq)
 		if ok {
-			p.recovered()
 			p.breakerSuccess()
 			return sendOK
-		}
-		if p.binary && (status == http.StatusUnsupportedMediaType || status == http.StatusBadRequest) {
-			p.binary = false
-			p.fallbacks.Add(1)
-			p.opts.Logf("witch: pusher to %s: daemon rejected binary encoding (HTTP %d), falling back to JSON", p.url, status)
-			var err error
-			if body, ctype, err = reenc(); err != nil {
-				return sendBad
-			}
-			attempt--
-			continue
 		}
 		p.errors.Add(1)
 		p.breakerFailure(retryAfter)
@@ -1002,22 +917,13 @@ func (p *Pusher) breakerSuccess() {
 	p.brOpenTill = time.Time{}
 }
 
-// encode serializes one profile per the pusher's current wire format,
-// reusing the sender's buffers. The returned body aliases those buffers
-// and is valid until the next encode.
-func (p *Pusher) encode(prof *Profile) (body []byte, ctype string, err error) {
-	if p.binary {
-		p.encBuf, err = prof.AppendBinary(p.encBuf[:0])
-		if err != nil {
-			return nil, "", err
-		}
-		return p.encBuf, BinaryContentType, nil
-	}
-	p.jsonBuf.Reset()
-	if err := prof.WriteJSONCompact(&p.jsonBuf); err != nil {
-		return nil, "", err
-	}
-	return p.jsonBuf.Bytes(), "application/json", nil
+// encode serializes one profile in the binary wire format into the
+// sender's reused buffer. The returned body aliases that buffer and is
+// valid until the next encode.
+func (p *Pusher) encode(prof *Profile) ([]byte, error) {
+	var err error
+	p.encBuf, err = prof.AppendBinary(p.encBuf[:0])
+	return p.encBuf, err
 }
 
 // deliver sends one profile with bounded retries and exponential
@@ -1025,7 +931,7 @@ func (p *Pusher) encode(prof *Profile) (body []byte, ctype string, err error) {
 // path (spooled pushers go through deliverOrSpool). The breaker gates
 // every attempt: while open, no request leaves the process.
 func (p *Pusher) deliver(prof *Profile) {
-	body, ctype, err := p.encode(prof)
+	body, err := p.encode(prof)
 	if err != nil {
 		p.errors.Add(1)
 		p.drop(DropEncode)
@@ -1038,27 +944,11 @@ func (p *Pusher) deliver(prof *Profile) {
 			p.drop(DropBreakerOpen)
 			return
 		}
-		retryAfter, status, ok := p.post(body, ctype, seq)
+		retryAfter, ok := p.post(body, BinaryContentType, seq)
 		if ok {
 			p.recovered()
 			p.breakerSuccess()
 			return
-		}
-		if p.binary && (status == http.StatusUnsupportedMediaType || status == http.StatusBadRequest) {
-			// Not a delivery failure — a format negotiation failure: the
-			// daemon is alive but does not read binary profiles. Latch
-			// JSON and retry immediately; no error, breaker, or attempt
-			// is charged.
-			p.binary = false
-			p.fallbacks.Add(1)
-			p.opts.Logf("witch: pusher to %s: daemon rejected binary encoding (HTTP %d), falling back to JSON", p.url, status)
-			if body, ctype, err = p.encode(prof); err != nil {
-				p.errors.Add(1)
-				p.drop(DropEncode)
-				return
-			}
-			attempt--
-			continue
 		}
 		p.errors.Add(1)
 		p.breakerFailure(retryAfter)
@@ -1080,7 +970,7 @@ func (p *Pusher) deliver(prof *Profile) {
 				p.drop(DropBreakerOpen)
 				return
 			}
-			if _, _, ok := p.post(body, ctype, seq); ok {
+			if _, ok := p.post(body, BinaryContentType, seq); ok {
 				p.recovered()
 			} else {
 				p.errors.Add(1)
@@ -1099,13 +989,13 @@ const (
 	PusherSeqHeader = "X-Witch-Seq"
 )
 
-// post performs one ingest attempt, reporting the HTTP status (0 for
-// transport errors) and any daemon-advertised Retry-After so the
-// breaker can honor it. Every request carries the idempotency key.
-func (p *Pusher) post(body []byte, ctype string, seq uint64) (retryAfter time.Duration, status int, ok bool) {
+// post performs one ingest attempt, reporting any daemon-advertised
+// Retry-After so the breaker can honor it. Every request carries the
+// idempotency key.
+func (p *Pusher) post(body []byte, ctype string, seq uint64) (retryAfter time.Duration, ok bool) {
 	req, err := http.NewRequest(http.MethodPost, p.url, bytes.NewReader(body))
 	if err != nil {
-		return 0, 0, false
+		return 0, false
 	}
 	req.Header.Set("Content-Type", ctype)
 	req.Header.Set(PusherIDHeader, p.id)
@@ -1125,17 +1015,17 @@ func (p *Pusher) post(body []byte, ctype string, seq uint64) (retryAfter time.Du
 		p.hist.Observe(time.Since(t0))
 	}
 	if err != nil {
-		return 0, 0, false
+		return 0, false
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		return 0, resp.StatusCode, true
+		return 0, true
 	}
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
 		retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 	}
-	return retryAfter, resp.StatusCode, false
+	return retryAfter, false
 }
 
 // parseRetryAfter reads both RFC 9110 Retry-After forms: delay-seconds

@@ -48,14 +48,22 @@ func TestPusherDelivers(t *testing.T) {
 		if r.URL.Path != "/v1/ingest" || r.Method != http.MethodPost {
 			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
 		}
-		p, err := witch.ReadProfileJSON(r.Body)
-		if err != nil {
-			t.Errorf("bad body: %v", err)
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if ct := r.Header.Get("Content-Type"); ct != witch.BinaryContentType {
+			t.Errorf("Content-Type %q, want %q", ct, witch.BinaryContentType)
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil || !witch.IsBinaryProfile(body) {
+			t.Errorf("body is not a binary profile (err %v)", err)
+		}
+		var dec witch.BatchDecoder
+		profs, err := dec.Decode(body)
+		if err != nil || len(profs) != 1 {
+			t.Errorf("bad body: %d profiles, %v", len(profs), err)
+			http.Error(w, "bad body", http.StatusBadRequest)
 			return
 		}
 		mu.Lock()
-		got = append(got, p)
+		got = append(got, profs[0])
 		mu.Unlock()
 	}))
 	defer srv.Close()

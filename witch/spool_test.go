@@ -1,7 +1,9 @@
 package witch
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -428,6 +430,147 @@ func TestPusherSpoolRestartResumesWhereItDied(t *testing.T) {
 	}
 	if seqs[n] <= maxReplayed {
 		t.Fatalf("post-restart push reused sequence %d (max replayed %d)", seqs[n], maxReplayed)
+	}
+}
+
+// TestPusherSpoolLedgerNeverOvercounts: while a restarted pusher replays
+// its spool, Stats may lag a resolution but must never count one twice
+// — Sent + Dropped + SpoolPending never exceeds the backlog plus
+// Enqueued. Callers decide quiescence by that equality, and a replay
+// counted sent before it left SpoolPending would let a profile still
+// queued in memory pass for resolved (and die with the next kill).
+func TestPusherSpoolLedgerNeverOvercounts(t *testing.T) {
+	dir := t.TempDir()
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	p, err := NewPusher(PusherOptions{
+		URL: down.URL, Queue: 64, Backoff: time.Millisecond,
+		BreakerThreshold: 1, BreakerCooldown: time.Hour,
+		Logf: func(string, ...any) {}, SpoolDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := pushTestProfile(t)
+	const n = 48
+	for i := 0; i < n; i++ {
+		if !p.Push(prof) {
+			t.Fatalf("push %d rejected", i)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().SpoolPending < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog never spooled: %+v", p.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.Abort()
+	down.Close()
+
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"profiles":1}`))
+	}))
+	defer up.Close()
+	p2, err := NewPusher(PusherOptions{
+		URL: up.URL, Backoff: time.Millisecond, Logf: func(string, ...any) {}, SpoolDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	base := p2.Stats().SpoolPending
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		st := p2.Stats()
+		if st.Sent+st.Dropped+st.SpoolPending > base+st.Enqueued {
+			t.Fatalf("ledger over-counts mid-replay: sent %d + dropped %d + pending %d > backlog %d + enqueued %d",
+				st.Sent, st.Dropped, st.SpoolPending, base, st.Enqueued)
+		}
+		if st.SpoolPending == 0 && st.Sent == base {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog never drained: %+v", st)
+		}
+	}
+}
+
+// TestPusherSpoolDrainsLegacyJSONEntry: a spool entry parked by an
+// older pusher that encoded JSON still drains after an upgrade — sent
+// byte for byte under the JSON content type (the daemon sniffs bodies
+// and still reads JSON), delivered once, and acked exactly once.
+func TestPusherSpoolDrainsLegacyJSONEntry(t *testing.T) {
+	dir := t.TempDir()
+	prof := pushTestProfile(t)
+	var legacy bytes.Buffer
+	if err := prof.WriteJSONCompact(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	s, err := openSpool(dir, 1<<20, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.reserveSeq(1 + seqReserveBlock); err != nil {
+		t.Fatal(err)
+	}
+	spoolAppend(t, s, 1, legacy.String())
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var posts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("legacy entry sent as %q, want application/json", ct)
+		}
+		if seq := r.Header.Get(PusherSeqHeader); seq != "1" {
+			t.Errorf("legacy entry sent under seq %q, want its spooled seq 1", seq)
+		}
+		body, _ := io.ReadAll(r.Body)
+		if !bytes.Equal(body, legacy.Bytes()) {
+			t.Errorf("legacy entry rewritten in flight:\ngot  %s\nwant %s", body, legacy.Bytes())
+		}
+		var dec BatchDecoder
+		if profs, err := dec.Decode(body); err != nil || len(profs) != 1 || profs[0].Redundancy != prof.Redundancy {
+			t.Errorf("legacy entry does not decode to the spooled profile: %v", err)
+		}
+		w.Write([]byte(`{"profiles":1}`))
+	}))
+	defer srv.Close()
+
+	p, err := NewPusher(PusherOptions{
+		URL: srv.URL, Backoff: time.Millisecond, Logf: func(string, ...any) {}, SpoolDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().SpoolPending != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("legacy entry never drained: %+v", p.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Sent != 1 || st.Replayed != 1 || st.Dropped != 0 || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want exactly one replayed delivery", st)
+	}
+	if got := posts.Load(); got != 1 {
+		t.Fatalf("daemon saw %d posts, want 1", got)
+	}
+	// The ack is durable: the next incarnation owes nothing.
+	s, err = openSpool(dir, 1<<20, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	if got := s.pending(); got != 0 {
+		t.Fatalf("pending after drain = %d, want 0", got)
 	}
 }
 
