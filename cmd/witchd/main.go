@@ -47,7 +47,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -55,69 +54,56 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/daemon"
 	"repro/internal/obs"
-	"repro/internal/store"
-	"repro/internal/wal"
 )
 
 // daemonFlags is every knob, parsed then validated as a unit so a bad
 // deployment config dies loudly at startup instead of panicking later
 // or silently running with a default the operator did not choose.
+// Flags that map one-to-one onto the node's config land in node
+// directly; validate derives the rest of it.
 type daemonFlags struct {
-	addr        string
-	window      time.Duration
-	buckets     int
-	maxBody     int64
-	inflight    int
-	backlog     int64
-	dataDir     string
-	fsync       string
-	commitDelay time.Duration
-	snapEvery   int
-	segBytes    int64
-	pprofAddr   string
-	dedupWindow uint64
-	dedupMax    int
-	hdrTimeout  time.Duration
-	maxTopN     int
-	peers       string
-	advertise   string
-	rf          int
-	hintMax     int64
-	hintDrain   time.Duration
-	repairEvery time.Duration
-	traceRing   int
-	slowCap     int
-	slowThresh  time.Duration
-	logLevel    string
-	peerList    []string // validated split of peers
-	level       obs.Level
+	node       daemon.NodeConfig
+	addr       string
+	fsync      string
+	snapEvery  int
+	pprofAddr  string
+	peers      string
+	advertise  string
+	rf         int
+	traceRing  int
+	slowCap    int
+	slowThresh time.Duration
+	logLevel   string
+	peerList   []string // validated split of peers
+	level      obs.Level
 }
 
 func parseFlags(args []string) (*daemonFlags, error) {
 	fs := flag.NewFlagSet("witchd", flag.ContinueOnError)
 	f := &daemonFlags{}
+	n := &f.node
 	fs.StringVar(&f.addr, "addr", "127.0.0.1:9147", "listen address")
-	fs.DurationVar(&f.window, "window", time.Minute, "retention bucket width")
-	fs.IntVar(&f.buckets, "buckets", 60, "live retention buckets (older data rolls up)")
-	fs.Int64Var(&f.maxBody, "max-body", 32<<20, "largest accepted ingest body in bytes")
-	fs.IntVar(&f.inflight, "max-inflight", 64, "concurrent ingest requests before shedding 429s")
-	fs.Int64Var(&f.backlog, "max-backlog", 64<<20, "unsynced journal bytes before shedding 429s (with -fsync off; negative disables, 0 invalid)")
-	fs.StringVar(&f.dataDir, "data-dir", "", "durability directory for journal + snapshots (empty: in-memory only)")
+	fs.DurationVar(&n.Store.Window, "window", time.Minute, "retention bucket width")
+	fs.IntVar(&n.Store.Buckets, "buckets", 60, "live retention buckets (older data rolls up)")
+	fs.Int64Var(&n.Server.MaxBody, "max-body", 32<<20, "largest accepted ingest body in bytes")
+	fs.IntVar(&n.Server.MaxInflight, "max-inflight", 64, "concurrent ingest requests before shedding 429s")
+	fs.Int64Var(&n.Server.MaxBacklog, "max-backlog", 64<<20, "unsynced journal bytes before shedding 429s (with -fsync off; negative disables, 0 invalid)")
+	fs.StringVar(&n.DataDir, "data-dir", "", "durability directory for journal + snapshots (empty: in-memory only)")
 	fs.StringVar(&f.fsync, "fsync", "always", "journal fsync policy: always (fsync before every ack), group (one fsync per commit gang, same guarantee), or off (page cache only)")
-	fs.DurationVar(&f.commitDelay, "commit-delay", 0, "with -fsync group: extra time the committer lingers to gather a gang (0 = the previous fsync is the batching window)")
+	fs.DurationVar(&n.Journal.MaxCommitDelay, "commit-delay", 0, "with -fsync group: extra time the committer lingers to gather a gang (0 = the previous fsync is the batching window)")
 	fs.IntVar(&f.snapEvery, "snapshot-every", 256, "acknowledged batches between snapshots (0: snapshot only on shutdown)")
-	fs.Int64Var(&f.segBytes, "segment-bytes", 8<<20, "journal segment size before rotation")
+	fs.Int64Var(&n.Journal.SegmentBytes, "segment-bytes", 8<<20, "journal segment size before rotation")
 	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this host:port (empty: disabled)")
-	fs.Uint64Var(&f.dedupWindow, "dedup-window", daemon.DefaultDedupWindow, "per-pusher idempotency window in sequences (rounded up to a multiple of 64)")
-	fs.IntVar(&f.dedupMax, "dedup-max-pushers", daemon.DefaultDedupMaxPushers, "distinct pusher identities tracked for dedup before LRU eviction")
-	fs.DurationVar(&f.hdrTimeout, "read-header-timeout", 10*time.Second, "disconnect clients that have not finished sending headers within this window")
-	fs.IntVar(&f.maxTopN, "max-top-n", 1000, "largest accepted n for /v1/top (response-size cap)")
+	fs.Uint64Var(&n.Server.DedupWindow, "dedup-window", daemon.DefaultDedupWindow, "per-pusher idempotency window in sequences (rounded up to a multiple of 64)")
+	fs.IntVar(&n.Server.DedupMaxPushers, "dedup-max-pushers", daemon.DefaultDedupMaxPushers, "distinct pusher identities tracked for dedup before LRU eviction")
+	fs.DurationVar(&n.ReadHeaderTimeout, "read-header-timeout", 10*time.Second, "disconnect clients that have not finished sending headers within this window")
+	fs.IntVar(&n.Server.MaxTopN, "max-top-n", 1000, "largest accepted n for /v1/top (response-size cap)")
 	fs.StringVar(&f.peers, "peers", "", "comma-separated base URLs of every cluster node, this one included (empty: single node)")
 	fs.StringVar(&f.advertise, "advertise", "", "this node's base URL as it appears in -peers (default http://<addr>)")
 	fs.IntVar(&f.rf, "replication-factor", 2, "copies of each pusher's partition across the ring; with -peers, acks wait for a durable follower copy (capped at the peer count; 1 = replication off)")
-	fs.Int64Var(&f.hintMax, "hint-max-bytes", 64<<20, "per-peer hinted-handoff journal bound; overflow evicts oldest hints, leaving convergence to repair (negative: unbounded)")
-	fs.DurationVar(&f.hintDrain, "hint-drain-interval", time.Second, "how often queued hints are replayed at healed peers")
-	fs.DurationVar(&f.repairEvery, "repair-interval", 30*time.Second, "anti-entropy digest-compare cadence (negative: disabled)")
+	fs.Int64Var(&n.Replication.HintMaxBytes, "hint-max-bytes", 64<<20, "per-peer hinted-handoff journal bound; overflow evicts oldest hints, leaving convergence to repair (negative: unbounded)")
+	fs.DurationVar(&n.Replication.DrainInterval, "hint-drain-interval", time.Second, "how often queued hints are replayed at healed peers")
+	fs.DurationVar(&n.Replication.RepairInterval, "repair-interval", 30*time.Second, "anti-entropy digest-compare cadence (negative: disabled)")
 	fs.IntVar(&f.traceRing, "trace-ring", 4096, "completed spans retained for /v1/trace (0: tracing off)")
 	fs.IntVar(&f.slowCap, "slow-capture", 32, "slowest recent requests retained for /v1/slow (0: capture off)")
 	fs.DurationVar(&f.slowThresh, "slow-threshold", 0, "log one structured warn line per request at or over this duration (0: off)")
@@ -129,34 +115,35 @@ func parseFlags(args []string) (*daemonFlags, error) {
 }
 
 func (f *daemonFlags) validate() error {
-	if f.window <= 0 {
-		return fmt.Errorf("-window must be positive, got %v", f.window)
+	n := &f.node
+	if n.Store.Window <= 0 {
+		return fmt.Errorf("-window must be positive, got %v", n.Store.Window)
 	}
-	if f.buckets <= 0 {
-		return fmt.Errorf("-buckets must be positive, got %d", f.buckets)
+	if n.Store.Buckets <= 0 {
+		return fmt.Errorf("-buckets must be positive, got %d", n.Store.Buckets)
 	}
-	if f.maxBody <= 0 {
-		return fmt.Errorf("-max-body must be positive, got %d", f.maxBody)
+	if n.Server.MaxBody <= 0 {
+		return fmt.Errorf("-max-body must be positive, got %d", n.Server.MaxBody)
 	}
-	if f.inflight <= 0 {
-		return fmt.Errorf("-max-inflight must be positive, got %d", f.inflight)
+	if n.Server.MaxInflight <= 0 {
+		return fmt.Errorf("-max-inflight must be positive, got %d", n.Server.MaxInflight)
 	}
-	if f.backlog == 0 {
+	if n.Server.MaxBacklog == 0 {
 		return fmt.Errorf("-max-backlog must be nonzero (use a negative value to disable the watermark)")
 	}
 	if f.snapEvery < 0 {
 		return fmt.Errorf("-snapshot-every must be >= 0, got %d", f.snapEvery)
 	}
-	if f.segBytes <= 0 {
-		return fmt.Errorf("-segment-bytes must be positive, got %d", f.segBytes)
+	if n.Journal.SegmentBytes <= 0 {
+		return fmt.Errorf("-segment-bytes must be positive, got %d", n.Journal.SegmentBytes)
 	}
 	if f.fsync != "always" && f.fsync != "group" && f.fsync != "off" {
 		return fmt.Errorf("-fsync must be \"always\", \"group\", or \"off\", got %q", f.fsync)
 	}
-	if f.commitDelay < 0 {
-		return fmt.Errorf("-commit-delay must be >= 0, got %v", f.commitDelay)
+	if n.Journal.MaxCommitDelay < 0 {
+		return fmt.Errorf("-commit-delay must be >= 0, got %v", n.Journal.MaxCommitDelay)
 	}
-	if f.commitDelay > 0 && f.fsync != "group" {
+	if n.Journal.MaxCommitDelay > 0 && f.fsync != "group" {
 		return fmt.Errorf("-commit-delay only applies with -fsync group")
 	}
 	if _, _, err := net.SplitHostPort(f.addr); err != nil {
@@ -167,20 +154,20 @@ func (f *daemonFlags) validate() error {
 			return fmt.Errorf("-pprof %q is not host:port: %v", f.pprofAddr, err)
 		}
 	}
-	if f.dataDir == "" && f.fsync != "always" {
+	if n.DataDir == "" && f.fsync != "always" {
 		return fmt.Errorf("-fsync %s is meaningless without -data-dir", f.fsync)
 	}
-	if f.dedupWindow == 0 {
+	if n.Server.DedupWindow == 0 {
 		return fmt.Errorf("-dedup-window must be positive")
 	}
-	if f.dedupMax <= 0 {
-		return fmt.Errorf("-dedup-max-pushers must be positive, got %d", f.dedupMax)
+	if n.Server.DedupMaxPushers <= 0 {
+		return fmt.Errorf("-dedup-max-pushers must be positive, got %d", n.Server.DedupMaxPushers)
 	}
-	if f.hdrTimeout <= 0 {
-		return fmt.Errorf("-read-header-timeout must be positive, got %v", f.hdrTimeout)
+	if n.ReadHeaderTimeout <= 0 {
+		return fmt.Errorf("-read-header-timeout must be positive, got %v", n.ReadHeaderTimeout)
 	}
-	if f.maxTopN <= 0 {
-		return fmt.Errorf("-max-top-n must be positive, got %d", f.maxTopN)
+	if n.Server.MaxTopN <= 0 {
+		return fmt.Errorf("-max-top-n must be positive, got %d", n.Server.MaxTopN)
 	}
 	if f.advertise != "" && f.peers == "" {
 		return fmt.Errorf("-advertise only applies with -peers")
@@ -188,13 +175,13 @@ func (f *daemonFlags) validate() error {
 	if f.rf < 1 {
 		return fmt.Errorf("-replication-factor must be >= 1, got %d", f.rf)
 	}
-	if f.hintMax == 0 {
+	if n.Replication.HintMaxBytes == 0 {
 		return fmt.Errorf("-hint-max-bytes must be nonzero (use a negative value for unbounded)")
 	}
-	if f.hintDrain <= 0 {
-		return fmt.Errorf("-hint-drain-interval must be positive, got %v", f.hintDrain)
+	if n.Replication.DrainInterval <= 0 {
+		return fmt.Errorf("-hint-drain-interval must be positive, got %v", n.Replication.DrainInterval)
 	}
-	if f.repairEvery == 0 {
+	if n.Replication.RepairInterval == 0 {
 		return fmt.Errorf("-repair-interval must be nonzero (use a negative value to disable)")
 	}
 	if f.traceRing < 0 {
@@ -211,6 +198,9 @@ func (f *daemonFlags) validate() error {
 		return fmt.Errorf("-log-level: %v", err)
 	}
 	f.level = lv
+	n.Journal.NoSync = f.fsync == "off"
+	n.Journal.GroupCommit = f.fsync == "group"
+	n.SnapshotEvery = uint64(f.snapEvery)
 	if f.peers != "" {
 		if f.advertise == "" {
 			f.advertise = "http://" + f.addr
@@ -230,9 +220,11 @@ func (f *daemonFlags) validate() error {
 		}
 		// Full ring validation (schemes, duplicates, self in list) is
 		// cluster.New's; run it here so a bad config dies at flag time.
-		if _, err := cluster.New(cluster.Config{Self: f.advertise, Peers: f.peerList, ReplicationFactor: f.rf}); err != nil {
+		cc := cluster.Config{Self: f.advertise, Peers: f.peerList, ReplicationFactor: f.rf}
+		if _, err := cluster.New(cc); err != nil {
 			return fmt.Errorf("-peers: %v", err)
 		}
+		n.Cluster = &cc
 	}
 	return nil
 }
@@ -249,63 +241,53 @@ func main() {
 	// boot lines go through the same key=value pipe as steady state.
 	obs.SetDefault(obs.NewLogger(os.Stderr, f.level))
 	logger := obs.Default()
-	node := f.advertise
-	if node == "" {
-		node = f.addr
+	self := f.advertise
+	if self == "" {
+		self = f.addr
 	}
 	ob := obs.New(obs.Options{
-		Node:          node,
+		Node:          self,
 		TraceRing:     f.traceRing,
 		SlowCapture:   f.slowCap,
 		SlowThreshold: f.slowThresh,
 		Log:           logger,
 	})
 
-	st := store.New(store.Config{Window: f.window, Buckets: f.buckets})
-	srv := daemon.NewServer(st, daemon.Config{
-		MaxBody:         f.maxBody,
-		MaxInflight:     f.inflight,
-		MaxBacklog:      f.backlog,
-		DedupWindow:     f.dedupWindow,
-		DedupMaxPushers: f.dedupMax,
-		MaxTopN:         f.maxTopN,
-		Obs:             ob,
-	})
-	clustered := len(f.peerList) > 0
-	if clustered {
-		cl, err := cluster.New(cluster.Config{
-			Self:              f.advertise,
-			Peers:             f.peerList,
-			ReplicationFactor: f.rf,
-			Logf:              logger.Logf("cluster"),
-			Obs:               ob,
-		})
-		if err != nil { // validate() already ran this; belt and braces
-			fmt.Fprintf(os.Stderr, "witchd: %v\n", err)
-			os.Exit(2)
-		}
-		srv.AttachCluster(cl)
-		logger.Info("witchd", "cluster joined",
-			"nodes", len(cl.Peers()), "self", cl.Self(), "rf", f.rf)
+	f.node.Server.Obs = ob
+	f.node.Replication.Logf = logger.Logf("repl")
+	if f.node.Cluster != nil {
+		f.node.Cluster.Logf = logger.Logf("cluster")
 	}
 
 	// Bind before recovery so a taken port fails fast, but serve only
-	// after recovery completes (readiness = /healthz state "serving").
+	// once OpenNode returns (readiness = /healthz state "serving").
 	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "witchd: listen: %v\n", err)
 		os.Exit(1)
 	}
-
+	var pln net.Listener
 	if f.pprofAddr != "" {
-		// Opt-in profiling endpoints on their own listener: never on the
-		// ingest port, and an explicit mux so nothing else the process
-		// might register on http.DefaultServeMux leaks out.
-		pln, err := net.Listen("tcp", f.pprofAddr)
-		if err != nil {
+		if pln, err = net.Listen("tcp", f.pprofAddr); err != nil {
 			fmt.Fprintf(os.Stderr, "witchd: pprof listen: %v\n", err)
 			os.Exit(1)
 		}
+	}
+
+	start := time.Now()
+	node, err := daemon.OpenNode(f.node)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "witchd: %v\n", err)
+		os.Exit(1)
+	}
+	if cl := node.Server().Cluster(); cl != nil {
+		logger.Info("witchd", "cluster joined",
+			"nodes", len(cl.Peers()), "self", cl.Self(), "rf", f.rf)
+	}
+	if pln != nil {
+		// Opt-in profiling endpoints on their own listener: never on the
+		// ingest port, and an explicit mux so nothing else the process
+		// might register on http.DefaultServeMux leaks out.
 		pmux := http.NewServeMux()
 		pmux.HandleFunc("/debug/pprof/", pprof.Index)
 		pmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -319,59 +301,19 @@ func main() {
 		}()
 		logger.Info("witchd", "pprof listening", "addr", f.pprofAddr)
 	}
-
-	var pers *daemon.Persistence
-	if f.dataDir != "" {
-		srv.SetState(daemon.StateRecovering)
-		start := time.Now()
-		pers, err = daemon.OpenPersistence(f.dataDir, st, srv.Dedup(), wal.Options{
-			SegmentBytes:   f.segBytes,
-			NoSync:         f.fsync == "off",
-			GroupCommit:    f.fsync == "group",
-			MaxCommitDelay: f.commitDelay,
-			ObserveCommit: func(wait time.Duration) {
-				ob.Stage(obs.StageJournal, wait)
-			},
-		}, uint64(f.snapEvery))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "witchd: recovery: %v\n", err)
-			os.Exit(1)
-		}
-		srv.AttachPersistence(pers)
-		rec := pers.Recovery()
+	if f.node.DataDir != "" {
+		rec := node.Recovery()
 		logger.Info("witchd", "recovered",
 			"took", time.Since(start).Round(time.Millisecond),
 			"snapshot_lsn", rec.SnapshotLSN, "snapshot_loaded", rec.SnapshotLoaded,
 			"replayed_batches", rec.ReplayedBatches,
 			"torn_tail", rec.TornTail, "truncated_bytes", rec.TruncatedBytes)
 	}
-	if clustered {
-		// After AttachCluster and AttachPersistence, before serving: the
-		// ingest path reads the engine without a lock, and with RF > 1 a
-		// coordinator sheds keyed batches until replication runs.
-		hintDir := ""
-		if f.dataDir != "" {
-			hintDir = filepath.Join(f.dataDir, "hints")
-		}
-		if err := srv.StartReplication(daemon.ReplicationConfig{
-			HintDir:        hintDir,
-			HintMaxBytes:   f.hintMax,
-			DrainInterval:  f.hintDrain,
-			RepairInterval: f.repairEvery,
-			WalOpts:        wal.Options{NoSync: f.fsync == "off"},
-			Logf:           logger.Logf("repl"),
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "witchd: replication: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	srv.SetState(daemon.StateServing)
 
-	hs := daemon.HardenedServer(srv.Handler(), f.hdrTimeout)
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- node.Serve(ln) }()
 	logger.Info("witchd", "serving",
-		"addr", f.addr, "window", f.window, "buckets", f.buckets,
+		"addr", f.addr, "window", f.node.Store.Window, "buckets", f.node.Store.Buckets,
 		"durability", durabilityLabel(f), "trace_ring", f.traceRing)
 
 	sigc := make(chan os.Signal, 1)
@@ -384,32 +326,18 @@ func main() {
 		logger.Info("witchd", "draining (ingest now 503)", "signal", sig)
 	}
 
-	// Graceful drain: refuse new ingest, finish in-flight requests,
-	// then make everything durable and exit 0.
-	srv.SetState(daemon.StateDraining)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		logger.Warn("witchd", "drain incomplete", "err", err)
-	}
-	// Stop replication before the final snapshot: the loops write
-	// through the same journal barrier, and undelivered hints stay on
-	// disk for the next boot.
-	if clustered {
-		srv.StopReplication()
-	}
-	if pers != nil {
-		if err := pers.Shutdown(); err != nil {
-			logger.Error("witchd", "final snapshot failed", "err", err)
-			os.Exit(1)
-		}
+	if err := node.Drain(ctx); err != nil {
+		logger.Error("witchd", "final snapshot failed", "err", err)
+		os.Exit(1)
 	}
 	logger.Info("witchd", "drained clean")
 }
 
 func durabilityLabel(f *daemonFlags) string {
-	if f.dataDir == "" {
+	if f.node.DataDir == "" {
 		return "off"
 	}
-	return fmt.Sprintf("%s fsync=%s snapshot-every=%d", f.dataDir, f.fsync, f.snapEvery)
+	return fmt.Sprintf("%s fsync=%s snapshot-every=%d", f.node.DataDir, f.fsync, f.snapEvery)
 }

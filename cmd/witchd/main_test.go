@@ -18,9 +18,9 @@ func TestFlagValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if good.window != 30*time.Second || good.buckets != 10 || good.dataDir != "/tmp/w" ||
-		good.fsync != "off" || good.snapEvery != 0 || good.inflight != 8 ||
-		good.backlog != -1 || good.segBytes != 1024 {
+	if g := good.node; g.Store.Window != 30*time.Second || g.Store.Buckets != 10 || g.DataDir != "/tmp/w" ||
+		!g.Journal.NoSync || g.Journal.GroupCommit || g.SnapshotEvery != 0 || g.Server.MaxInflight != 8 ||
+		g.Server.MaxBacklog != -1 || g.Journal.SegmentBytes != 1024 {
 		t.Fatalf("flags mis-parsed: %+v", good)
 	}
 
@@ -32,7 +32,7 @@ func TestFlagValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid group-commit flags rejected: %v", err)
 	}
-	if grouped.fsync != "group" || grouped.commitDelay != 500*time.Microsecond ||
+	if !grouped.node.Journal.GroupCommit || grouped.node.Journal.MaxCommitDelay != 500*time.Microsecond ||
 		grouped.pprofAddr != "127.0.0.1:6060" {
 		t.Fatalf("group-commit flags mis-parsed: %+v", grouped)
 	}
@@ -46,11 +46,11 @@ func TestFlagValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid cluster flags rejected: %v", err)
 	}
-	if clustered.advertise != "http://127.0.0.1:9147" || len(clustered.peerList) != 3 {
+	if cc := clustered.node.Cluster; cc == nil || cc.Self != "http://127.0.0.1:9147" || len(cc.Peers) != 3 {
 		t.Fatalf("cluster flags mis-parsed: %+v", clustered)
 	}
-	if clustered.rf != 2 || clustered.hintMax != 64<<20 ||
-		clustered.hintDrain != time.Second || clustered.repairEvery != 30*time.Second {
+	if r := clustered.node.Replication; clustered.node.Cluster.ReplicationFactor != 2 || r.HintMaxBytes != 64<<20 ||
+		r.DrainInterval != time.Second || r.RepairInterval != 30*time.Second {
 		t.Fatalf("replication defaults mis-parsed: %+v", clustered)
 	}
 
@@ -63,8 +63,8 @@ func TestFlagValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oversized replication factor rejected: %v", err)
 	}
-	if capped.rf != 2 {
-		t.Fatalf("replication factor not capped at ring size: %d", capped.rf)
+	if rf := capped.node.Cluster.ReplicationFactor; rf != 2 {
+		t.Fatalf("replication factor not capped at ring size: %d", rf)
 	}
 
 	cases := []struct {

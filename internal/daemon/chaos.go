@@ -7,9 +7,10 @@ import (
 	"repro/internal/fault"
 )
 
-// ChaosHandler is the daemon-side network-fault seam: it wraps a
-// handler and injects the two failure classes that can only be
-// simulated after the server has committed work.
+// chaosHandler is the daemon-side network-fault seam behind
+// NodeConfig.Chaos: it wraps a handler and injects the two failure
+// classes that can only be simulated after the server has committed
+// work.
 //
 //   - fault.LostAck: the request is processed fully (journaled, merged,
 //     dedup-marked) and then the connection is torn down without a
@@ -24,7 +25,7 @@ import (
 // Only mutating requests (POST) are chaos-eligible; reads pass through
 // untouched so a harness can interrogate the daemon's state through the
 // same handler it is torturing.
-func ChaosHandler(inner http.Handler, inj *fault.Injector) http.Handler {
+func chaosHandler(inner http.Handler, inj *fault.Injector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			inner.ServeHTTP(w, r)

@@ -21,12 +21,12 @@ import (
 )
 
 // ringOptions configures newTestRing. The zero value of every field
-// but n is the plain ring: RF 1, no replication engine, wall clock.
+// but n is the plain ring: RF 1, memory-only, wall clock.
 type ringOptions struct {
 	n  int // nodes
-	rf int // replication factor; above 1 starts each node's replication engine
-	// hints puts each node's hinted-handoff queues on disk (replication
-	// only; without it hints stay in memory).
+	rf int // replication factor (0 and 1: a single owner per pusher)
+	// hints gives each node a data dir, so its hinted-handoff queues
+	// live on disk (without it the node and its hints are memory-only).
 	hints bool
 	// clock, when set, drives every router's breaker cooldowns, and one
 	// failed leg opens a peer's breaker — so breaker state changes
@@ -45,16 +45,16 @@ type ringOptions struct {
 // MaxBody, decode bug).
 type testNode struct {
 	srv    *Server
-	h      http.Handler // srv.Handler(), built once before the listener starts
+	h      http.Handler // the node's handler, built once before the listener starts
 	ht     *httptest.Server
 	url    string
 	down   atomic.Bool
 	reject atomic.Bool
 }
 
-// newTestRing boots o.n in-process daemons wired into one ring over
-// real loopback HTTP (a single node gets no router). Background
-// drain/repair loops are effectively disabled — tests call
+// newTestRing boots o.n in-process nodes through OpenNode, wired into
+// one ring over real loopback HTTP (a single node gets no router).
+// Background drain/repair loops are effectively disabled — tests call
 // DrainHintsNow/RepairNow for determinism.
 func newTestRing(t *testing.T, o ringOptions) []*testNode {
 	t.Helper()
@@ -83,39 +83,29 @@ func newTestRing(t *testing.T, o ringOptions) []*testNode {
 		}
 	})
 	for _, nd := range nodes {
-		var ob *obs.Observer
+		cfg := NodeConfig{Replication: ReplicationConfig{
+			DrainInterval:  time.Hour,
+			RepairInterval: -1,
+			Logf:           t.Logf,
+		}}
 		if o.traced {
-			ob = obs.New(obs.Options{Node: nd.url, TraceRing: 256, SlowCapture: 8})
+			cfg.Server.Obs = obs.New(obs.Options{Node: nd.url, TraceRing: 256, SlowCapture: 8})
 		}
-		nd.srv = NewServer(store.New(store.Config{}), Config{Obs: ob})
+		if o.hints {
+			cfg.DataDir = t.TempDir()
+		}
 		if o.n > 1 {
-			cc := cluster.Config{Self: nd.url, Peers: urls, ReplicationFactor: o.rf, Logf: t.Logf, Obs: ob}
+			cfg.Cluster = &cluster.Config{Self: nd.url, Peers: urls, ReplicationFactor: o.rf, Logf: t.Logf}
 			if o.clock != nil {
-				cc.BreakerThreshold, cc.Now = 1, o.clock.Now
+				cfg.Cluster.BreakerThreshold, cfg.Cluster.Now = 1, o.clock.Now
 			}
-			cl, err := cluster.New(cc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nd.srv.AttachCluster(cl)
 		}
-		if o.rf > 1 {
-			hintDir := ""
-			if o.hints {
-				hintDir = t.TempDir()
-			}
-			if err := nd.srv.StartReplication(ReplicationConfig{
-				HintDir:        hintDir,
-				DrainInterval:  time.Hour,
-				RepairInterval: -1,
-				Logf:           t.Logf,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(nd.srv.StopReplication)
+		node, err := OpenNode(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		nd.srv.SetState(StateServing)
-		nd.h = nd.srv.Handler()
+		t.Cleanup(node.Kill)
+		nd.srv, nd.h = node.Server(), node.Handler()
 		nd.ht.Start()
 	}
 	return nodes
@@ -236,7 +226,6 @@ func TestClusterPartialQuery(t *testing.T) {
 	}
 	// Land one batch on node 0's local store directly (unkeyed, no
 	// forwarding), then kill node 2.
-	nodes[0].srv.SetState(StateServing)
 	resp := ingest(t, nodes[0].ht, body.Bytes())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: HTTP %d", resp.StatusCode)

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -18,33 +19,51 @@ import (
 )
 
 // durable is one incarnation of a crash-safe witchd over a shared data
-// dir. "Crashing" it means closing the HTTP listener and walking away —
-// no drain, no final snapshot, no journal close — exactly what kill -9
-// leaves behind (modulo the page cache, which in-process tests cannot
-// drop; torn tails are supplied by the fault injector instead).
+// dir. "Crashing" it is Node.Kill: the HTTP listener closes and the
+// journal is abandoned — no drain, no final snapshot, no sync —
+// exactly what kill -9 leaves behind (modulo the page cache, which
+// in-process tests cannot drop; torn tails are supplied by the fault
+// injector instead).
 type durable struct {
+	node *Node
 	srv  *Server
-	pers *Persistence
+	pers *persistence
 	ts   *httptest.Server
 }
 
-// openDurable boots a server through the same recovery path main() uses.
+// openDurable boots a node through OpenNode, the recovery path main()
+// uses.
 func openDurable(t *testing.T, dir string, walOpts wal.Options, snapEvery uint64, now func() time.Time) *durable {
 	t.Helper()
-	st := store.New(store.Config{Window: time.Minute, Buckets: 4, Now: now})
-	srv := NewServer(st, Config{MaxBody: 4 << 20, Now: now})
-	srv.SetState(StateRecovering)
-	pers, err := OpenPersistence(dir, st, srv.Dedup(), walOpts, snapEvery)
+	node, err := OpenNode(NodeConfig{
+		Store:         store.Config{Window: time.Minute, Buckets: 4, Now: now},
+		Server:        Config{MaxBody: 4 << 20, Now: now},
+		DataDir:       dir,
+		Journal:       walOpts,
+		SnapshotEvery: snapEvery,
+	})
 	if err != nil {
 		t.Fatalf("recovery must never fail on crash damage: %v", err)
 	}
-	srv.AttachPersistence(pers)
-	srv.SetState(StateServing)
-	return &durable{srv: srv, pers: pers, ts: httptest.NewServer(srv.Handler())}
+	srv := node.Server()
+	return &durable{node: node, srv: srv, pers: srv.pers, ts: httptest.NewServer(node.Handler())}
 }
 
 // crash abandons the incarnation without any graceful shutdown.
-func (d *durable) crash() { d.ts.Close() }
+func (d *durable) crash() {
+	d.ts.Close()
+	d.node.Kill()
+}
+
+// drain is the graceful exit: the node's Drain after its listener
+// closes.
+func (d *durable) drain(t *testing.T) {
+	t.Helper()
+	d.ts.Close()
+	if err := d.node.Drain(context.Background()); err != nil {
+		t.Fatalf("graceful drain: %v", err)
+	}
+}
 
 // fsyncModes runs a crash test once per journal durability mode: the
 // per-append fsync path and the group-commit path. The mode hook edits
@@ -327,7 +346,7 @@ func TestGroupCommitTornGangCleansTail(t *testing.T) {
 // paths: pre-serving and draining states answer 503, a saturated
 // inflight semaphore answers 429, and all carry Retry-After.
 func TestLifecycleAndOverloadShedding(t *testing.T) {
-	srv := NewServer(store.New(store.Config{}), Config{MaxInflight: 2})
+	srv := newServer(store.New(store.Config{}), Config{MaxInflight: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	var body bytes.Buffer
@@ -345,9 +364,9 @@ func TestLifecycleAndOverloadShedding(t *testing.T) {
 	}
 
 	check("starting", http.StatusServiceUnavailable)
-	srv.SetState(StateRecovering)
+	srv.setState(StateRecovering)
 	check("recovering", http.StatusServiceUnavailable)
-	srv.SetState(StateServing)
+	srv.setState(StateServing)
 	check("serving", http.StatusOK)
 
 	// Saturate the inflight semaphore from the outside and watch the
@@ -359,7 +378,7 @@ func TestLifecycleAndOverloadShedding(t *testing.T) {
 	<-srv.sem
 	check("semaphore released", http.StatusOK)
 
-	srv.SetState(StateDraining)
+	srv.setState(StateDraining)
 	check("draining", http.StatusServiceUnavailable)
 	if srv.shed.Load() == 0 {
 		t.Fatal("shed counter never moved")
@@ -390,16 +409,18 @@ func TestBacklogWatermarkSheds(t *testing.T) {
 	fsyncModes(t, func(t *testing.T, mode func(wal.Options) wal.Options) {
 		dir := t.TempDir()
 		now := stepClock()
-		st := store.New(store.Config{Now: now})
-		srv := NewServer(st, Config{MaxBody: 4 << 20, MaxBacklog: 64, Now: now})
-		pers, err := OpenPersistence(dir, st, srv.Dedup(), mode(wal.Options{NoSync: true}), 0)
+		node, err := OpenNode(NodeConfig{
+			Store:   store.Config{Now: now},
+			Server:  Config{MaxBody: 4 << 20, MaxBacklog: 64, Now: now},
+			DataDir: dir,
+			Journal: mode(wal.Options{NoSync: true}),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.AttachPersistence(pers)
-		srv.SetState(StateServing)
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(node.Handler())
 		defer ts.Close()
+		pers := node.Server().pers
 
 		var body bytes.Buffer
 		testProfile(t, 1).WriteJSON(&body)
@@ -418,7 +439,7 @@ func TestBacklogWatermarkSheds(t *testing.T) {
 		if resp := ingest(t, ts, body.Bytes()); resp.StatusCode != http.StatusOK {
 			t.Fatalf("after sync: HTTP %d", resp.StatusCode)
 		}
-		if err := pers.Shutdown(); err != nil {
+		if err := node.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -442,10 +463,7 @@ func TestGracefulShutdownRecoversInstantly(t *testing.T) {
 			}
 		}
 		want := getProfile(t, d, prof.Tool)
-		d.ts.Close()
-		if err := d.pers.Shutdown(); err != nil {
-			t.Fatalf("graceful shutdown: %v", err)
-		}
+		d.drain(t)
 
 		d = openDurable(t, dir, mode(wal.Options{}), 0, now)
 		defer d.crash()
@@ -477,10 +495,7 @@ func TestSnapshotCRCFallback(t *testing.T) {
 		}
 	}
 	want := getProfile(t, d, prof.Tool)
-	d.ts.Close()
-	if err := d.pers.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
+	d.drain(t)
 
 	// Plant a CORRUPT snapshot at a higher LSN than the good one: the
 	// disk-rot scenario where the newest checkpoint is damaged. Recovery

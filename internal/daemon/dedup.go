@@ -326,7 +326,7 @@ func (d *Dedup) WindowOf(id string) (max uint64, bits []uint64) {
 // the dedup half of anti-entropy adoption, paired with the store's
 // ReplacePartition so the data and the judgment that guards it move
 // together. Adopt locks the pusher's window FIRST and only then runs
-// barrier — the caller's apply-exclusion section (Persistence.Quiesce,
+// barrier — the caller's apply-exclusion section (persistence.Quiesce,
 // or the memory-only equivalent) — handing it an install func that
 // must be invoked exactly once, inside the barrier, alongside the
 // partition swap. The order is load-bearing: ingest holds this same

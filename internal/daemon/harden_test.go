@@ -7,24 +7,22 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"repro/internal/store"
 )
 
-// startHardened serves the daemon through HardenedServer on a loopback
-// listener and returns its address plus a shutdown func.
+// startHardened serves a node through Node.Serve (the hardened server)
+// on a loopback listener and returns its address.
 func startHardened(t *testing.T, readHeaderTimeout time.Duration) string {
 	t.Helper()
-	st := store.New(store.Config{})
-	srv := NewServer(st, Config{})
-	srv.SetState(StateServing)
-	hs := HardenedServer(srv.Handler(), readHeaderTimeout)
+	node, err := OpenNode(NodeConfig{ReadHeaderTimeout: readHeaderTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go hs.Serve(ln)
-	t.Cleanup(func() { hs.Close() })
+	go node.Serve(ln)
+	t.Cleanup(node.Kill)
 	return ln.Addr().String()
 }
 
@@ -87,7 +85,7 @@ func TestHardenedServerDisconnectsSlowLoris(t *testing.T) {
 // TestHardenedServerDefaults pins the hardening knobs so a refactor
 // cannot silently drop them back to net/http's unlimited defaults.
 func TestHardenedServerDefaults(t *testing.T) {
-	hs := HardenedServer(http.NotFoundHandler(), 0)
+	hs := hardenedServer(http.NotFoundHandler(), 0)
 	if hs.ReadHeaderTimeout <= 0 {
 		t.Fatal("zero readHeaderTimeout must fall back to a positive default")
 	}

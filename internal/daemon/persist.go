@@ -18,7 +18,7 @@ import (
 	"repro/witch"
 )
 
-// Persistence makes witchd crash-safe: every acknowledged ingest batch
+// persistence makes witchd crash-safe: every acknowledged ingest batch
 // is journaled (timestamp envelope + raw body) before the 200 goes
 // back, and the retention store is periodically checkpointed to a
 // snapshot that anchors journal GC. Startup recovery = load the newest
@@ -29,7 +29,7 @@ import (
 // flight), snapshots take the write side — so a snapshot's journal
 // anchor (LastLSN at that instant) covers exactly the batches whose
 // store ingest has completed, and replay-from-anchor is exactly-once.
-type Persistence struct {
+type persistence struct {
 	dir       string
 	journal   *wal.Journal
 	st        *store.Store
@@ -61,13 +61,6 @@ type RecoveryReport struct {
 	TornTail         bool   `json:"torn_tail"`
 	TruncatedBytes   int64  `json:"truncated_bytes"`
 }
-
-// Recovery returns the startup recovery report.
-func (p *Persistence) Recovery() RecoveryReport { return p.recovery }
-
-// JournalCommits reports the journal's physical write(+fsync) count —
-// acked batches divided by this is the achieved mean commit-gang size.
-func (p *Persistence) JournalCommits() uint64 { return p.journal.Commits() }
 
 // Journal envelope. v1: [8-byte big-endian unix-nano][raw body]. v2
 // adds the batch's idempotency key between timestamp and body:
@@ -146,7 +139,7 @@ func listSnapshots(dir string) []uint64 {
 	return lsns
 }
 
-// OpenPersistence recovers state from dir into st and returns the
+// openPersistence recovers state from dir into st and returns the
 // manager, ready to journal new batches. Recovery is deliberately
 // unfailable for data corruption: a corrupt snapshot falls back to the
 // next older one, a torn journal tail is truncated, an undecodable
@@ -155,11 +148,11 @@ func listSnapshots(dir string) []uint64 {
 // If ded is non-nil, its windows are restored from the snapshot's
 // extra blob and re-marked from replayed keyed envelopes, so dedup
 // survives kill-restart exactly as far as the acknowledged data does.
-func OpenPersistence(dir string, st *store.Store, ded *Dedup, walOpts wal.Options, snapEvery uint64) (*Persistence, error) {
+func openPersistence(dir string, st *store.Store, ded *Dedup, walOpts wal.Options, snapEvery uint64) (*persistence, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("data dir: %w", err)
 	}
-	p := &Persistence{dir: dir, st: st, ded: ded, snapEvery: snapEvery}
+	p := &persistence{dir: dir, st: st, ded: ded, snapEvery: snapEvery}
 
 	// Newest loadable snapshot wins; corrupt ones are skipped, not fatal.
 	// Even a snapshot too corrupt to load still floors LSN assignment:
@@ -270,7 +263,7 @@ func OpenPersistence(dir string, st *store.Store, ded *Dedup, walOpts wal.Option
 // apply read-lock — it is where Dedup.Process marks the idempotency key
 // seen, so a snapshot (which takes the write lock) can never observe
 // the batch without its mark.
-func (p *Persistence) applyBatch(id string, seq uint64, keyed bool, body []byte, ingest func(time.Time), now time.Time, commit func()) error {
+func (p *persistence) applyBatch(id string, seq uint64, keyed bool, body []byte, ingest func(time.Time), now time.Time, commit func()) error {
 	env := appendEnvelope(now, id, seq, keyed, body)
 
 	p.applyMu.RLock()
@@ -296,7 +289,7 @@ func (p *Persistence) applyBatch(id string, seq uint64, keyed bool, body []byte,
 // snapshot checkpoints the store, anchors it at the journal position,
 // and garbage-collects the journal prefix plus older snapshots. Applies
 // are excluded for the duration, which is what makes the anchor exact.
-func (p *Persistence) snapshot() error {
+func (p *persistence) snapshot() error {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
 
@@ -360,7 +353,7 @@ func (p *Persistence) snapshot() error {
 // Quiesce runs fn with the apply barrier held exclusively: no batch is
 // mid-journal or mid-merge while fn runs. Anti-entropy adoption runs
 // under it so a partition replace and its dedup adopt are one cut.
-func (p *Persistence) Quiesce(fn func()) {
+func (p *persistence) Quiesce(fn func()) {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
 	fn()
@@ -369,7 +362,7 @@ func (p *Persistence) Quiesce(fn func()) {
 // Checkpoint forces a snapshot now — after a repair round adopted
 // partitions, so a crash does not forget what was just pulled (the
 // pulled data never went through this node's journal).
-func (p *Persistence) Checkpoint() error {
+func (p *persistence) Checkpoint() error {
 	if err := p.snapshot(); err != nil {
 		p.snapErrors.Add(1)
 		return err
@@ -380,7 +373,7 @@ func (p *Persistence) Checkpoint() error {
 // Shutdown is the graceful-drain epilogue: flush the journal, take a
 // final snapshot, close. After this a restart recovers instantly from
 // the snapshot with an empty replay suffix.
-func (p *Persistence) Shutdown() error {
+func (p *persistence) Shutdown() error {
 	var firstErr error
 	if err := p.journal.Sync(); err != nil && firstErr == nil {
 		firstErr = err
@@ -397,6 +390,6 @@ func (p *Persistence) Shutdown() error {
 // Abandon drops the journal without syncing or snapshotting — the
 // kill -9 path for crash harnesses. Recovery must reconstruct
 // everything from whatever the page cache already made durable.
-func (p *Persistence) Abandon() {
+func (p *persistence) Abandon() {
 	p.journal.Abandon()
 }

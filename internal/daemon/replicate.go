@@ -24,9 +24,6 @@ import (
 // the other replica-set members, durable hinted handoff for the ones
 // that are down, and background anti-entropy repair.
 type ReplicationConfig struct {
-	// HintDir holds one hint journal per peer ("" = in-memory hints,
-	// matching a memory-only daemon's volatility).
-	HintDir string
 	// HintMaxBytes bounds one peer's hint journal; overflow evicts the
 	// oldest hints (counted), leaving convergence to repair
 	// (default 64 MiB, negative = unbounded).
@@ -36,9 +33,6 @@ type ReplicationConfig struct {
 	// RepairInterval is the anti-entropy cadence (default 30s,
 	// negative disables the background loop; RepairNow still works).
 	RepairInterval time.Duration
-	// WalOpts configures the hint journals (fault injection, segment
-	// size — default 1 MiB segments so the byte bound is enforceable).
-	WalOpts wal.Options
 	// Logf receives replication diagnostics (default: silent).
 	Logf func(string, ...any)
 }
@@ -79,18 +73,14 @@ type ReplicationStats struct {
 	RepairErrors      uint64          `json:"repair_errors"`
 }
 
-// StartReplication boots the engine. Call after AttachCluster (and
-// AttachPersistence, if any) and before SetState(StateServing): the
-// ingest path reads s.repl without a lock, so the handoff must happen
-// before requests can race it. With RF > 1 the engine is mandatory —
-// coordinators shed keyed batches until it runs.
-func (s *Server) StartReplication(cfg ReplicationConfig) error {
-	if s.cl == nil {
-		return errors.New("daemon: replication requires an attached cluster")
-	}
-	if s.repl != nil {
-		return errors.New("daemon: replication already running")
-	}
+// startReplication boots the engine with its hint journals under
+// hintDir ("" = in-memory hints, matching a memory-only daemon's
+// volatility). OpenNode calls it after the cluster router is set and
+// before the node serves: the ingest path reads s.repl without a lock,
+// so the handoff must happen before requests can race it. With RF > 1
+// the engine is mandatory — coordinators shed keyed batches until it
+// runs.
+func (s *Server) startReplication(cfg ReplicationConfig, hintDir string, hintOpts wal.Options) error {
 	if cfg.HintMaxBytes == 0 {
 		cfg.HintMaxBytes = 64 << 20
 	}
@@ -100,10 +90,11 @@ func (s *Server) StartReplication(cfg ReplicationConfig) error {
 	if cfg.RepairInterval == 0 {
 		cfg.RepairInterval = 30 * time.Second
 	}
-	if cfg.WalOpts.SegmentBytes == 0 {
-		cfg.WalOpts.SegmentBytes = 1 << 20
+	// 1 MiB hint segments keep the per-peer byte bound enforceable.
+	if hintOpts.SegmentBytes == 0 {
+		hintOpts.SegmentBytes = 1 << 20
 	}
-	hints, err := openHintStore(cfg.HintDir, cfg.HintMaxBytes, cfg.WalOpts, s.cl.Others(), cfg.Logf)
+	hints, err := openHintStore(hintDir, cfg.HintMaxBytes, hintOpts, s.cl.Others(), cfg.Logf)
 	if err != nil {
 		return err
 	}
@@ -119,11 +110,11 @@ func (s *Server) StartReplication(cfg ReplicationConfig) error {
 	return nil
 }
 
-// StopReplication stops the loops and closes the hint journals
+// stopReplication stops the loops and closes the hint journals
 // gracefully (undelivered hints stay on disk for the next boot). The
 // engine stays attached so concurrent readers of s.repl never see it
-// vanish; call during drain, after ingest is gated.
-func (s *Server) StopReplication() {
+// vanish; Drain calls it after ingest is gated.
+func (s *Server) stopReplication() {
 	r := s.repl
 	if r == nil || !r.stopped.CompareAndSwap(false, true) {
 		return
@@ -133,9 +124,9 @@ func (s *Server) StopReplication() {
 	r.hints.close()
 }
 
-// AbortReplication is the kill path: stop the loops and drop the hint
-// journals without syncing, mirroring Persistence.Abandon.
-func (s *Server) AbortReplication() {
+// abortReplication is the kill path: stop the loops and drop the hint
+// journals without syncing, mirroring persistence.Abandon.
+func (s *Server) abortReplication() {
 	r := s.repl
 	if r == nil || !r.stopped.CompareAndSwap(false, true) {
 		return

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/store"
-	"repro/internal/wal"
 )
 
 // fakeClock is a shared, manually-advanced clock so breaker cooldowns
@@ -544,15 +543,13 @@ func TestRepairPrefersFullerCopyAtEqualMax(t *testing.T) {
 // the apply write lock held and every other ingest wedged behind it.
 func TestAdoptIngestAvoidsDeadlock(t *testing.T) {
 	clock := newFakeClock()
-	st := store.New(store.Config{})
-	srv := NewServer(st, Config{Now: clock.Now})
-	pers, err := OpenPersistence(t.TempDir(), st, srv.Dedup(), wal.Options{}, 0)
+	node, err := OpenNode(NodeConfig{Server: Config{Now: clock.Now}, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(pers.Abandon)
-	srv.AttachPersistence(pers)
-	srv.SetState(StateServing)
+	t.Cleanup(node.Kill)
+	srv := node.Server()
+	st, pers := srv.st, srv.pers
 
 	prof := testProfile(t, 31)
 	const id = "deadlock-pusher"
@@ -613,14 +610,14 @@ func TestAdoptIngestAvoidsDeadlock(t *testing.T) {
 func TestMemoryAdoptBarrier(t *testing.T) {
 	clock := newFakeClock()
 	st := store.New(store.Config{})
-	srv := NewServer(st, Config{Now: clock.Now})
-	srv.SetState(StateServing)
+	srv := newServer(st, Config{Now: clock.Now})
+	srv.setState(StateServing)
 
 	prof := testProfile(t, 32)
 	const id = "mem-adopt-pusher"
 	donor := store.New(store.Config{})
 	donor.IngestKeyedAt(id, prof, clock.Now())
-	donorSrv := NewServer(donor, Config{Now: clock.Now})
+	donorSrv := newServer(donor, Config{Now: clock.Now})
 	wantSum := donorSrv.partitionSum(id)
 	pt := &cluster.PartitionTransfer{Image: donor.PartitionImage(id), DedupMax: 5}
 

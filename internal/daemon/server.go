@@ -1,8 +1,9 @@
 // Package daemon is the witchd aggregation service: the HTTP API, the
 // lifecycle/overload guards, and the crash-safety layer (journal +
 // snapshots), extracted from the witchd binary so benchmarks and the
-// witchbench harness can boot a real daemon in-process. cmd/witchd is a
-// thin flag-parsing shell around this package.
+// witchbench harness can boot a real daemon in-process. OpenNode
+// assembles every whole node; cmd/witchd is a thin flag-parsing shell
+// around it.
 package daemon
 
 import (
@@ -90,15 +91,15 @@ type Config struct {
 type Server struct {
 	st   *store.Store
 	cfg  Config
-	pers *Persistence    // nil = memory-only (no data dir)
+	pers *persistence    // nil = memory-only (no data dir)
 	cl   *cluster.Router // nil = single node
 	ded  *Dedup
-	repl *replication // nil until StartReplication; required when RF > 1
+	repl *replication // nil = single node; OpenNode starts it for every clustered node
 
 	state atomic.Int32
 	sem   chan struct{}
 
-	// memMu is the memory-only apply barrier: what Persistence.applyMu
+	// memMu is the memory-only apply barrier: what persistence.applyMu
 	// is for a persistent node. Ingest applies under RLock; partition
 	// adoption excludes them under Lock (via applyBarrier). Unused when
 	// pers != nil — the journal's barrier covers those nodes.
@@ -120,10 +121,10 @@ type Server struct {
 	viewMisses atomic.Uint64 // responses materialized and rendered
 }
 
-// NewServer builds a server over a retention store, applying defaults
-// for zero config fields. It starts in StateStarting; the caller runs
-// recovery (if any) and then SetState(StateServing).
-func NewServer(st *store.Store, cfg Config) *Server {
+// newServer builds a server over a retention store, applying defaults
+// for zero config fields. It starts in StateStarting; OpenNode runs
+// recovery (if any) and then moves it to StateServing.
+func newServer(st *store.Store, cfg Config) *Server {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 32 << 20
 	}
@@ -145,9 +146,11 @@ func NewServer(st *store.Store, cfg Config) *Server {
 	return s
 }
 
-// Dedup exposes the idempotency layer so persistence recovery can
-// restore and re-mark it (pass it to OpenPersistence).
-func (s *Server) Dedup() *Dedup { return s.ded }
+// DedupStats snapshots the idempotency layer's counters.
+func (s *Server) DedupStats() DedupStats { return s.ded.Stats() }
+
+// StoreStats snapshots the retention store's counters.
+func (s *Server) StoreStats() store.Stats { return s.st.Stats() }
 
 // applyBarrier runs fn with every batch apply excluded — Quiesce when
 // a journal is attached, the server's own memMu otherwise, so
@@ -164,18 +167,8 @@ func (s *Server) applyBarrier(fn func()) {
 	fn()
 }
 
-// SetState moves the lifecycle forward.
-func (s *Server) SetState(st int32) { s.state.Store(st) }
-
-// AttachPersistence wires a recovered persistence layer into the ingest
-// path; call before SetState(StateServing).
-func (s *Server) AttachPersistence(p *Persistence) { s.pers = p }
-
-// AttachCluster wires a cluster router into the ingest and query
-// paths; call before serving. With a router attached, keyed batches
-// owned by a peer are forwarded there, and /v1/top, /v1/profile, and
-// /v1/healthz answer for the whole fleet.
-func (s *Server) AttachCluster(cl *cluster.Router) { s.cl = cl }
+// setState moves the lifecycle forward.
+func (s *Server) setState(st int32) { s.state.Store(st) }
 
 // Cluster returns the attached router (nil for a single node).
 func (s *Server) Cluster() *cluster.Router { return s.cl }
@@ -756,16 +749,6 @@ func (s *Server) materialize(g gathered) *agg.Aggregator {
 		view.MergeState(g.exports[best].Parts[id])
 	}
 	return view
-}
-
-// view resolves and materializes in one step — the compatibility shape
-// for callers that always merge.
-func (s *Server) view(w http.ResponseWriter, r *http.Request) (view *agg.Aggregator, tool, program string, incomplete []string, ok bool) {
-	g, ok := s.gather(w, r)
-	if !ok {
-		return nil, "", "", nil, false
-	}
-	return s.materialize(g), g.tool, g.program, g.incomplete, true
 }
 
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {

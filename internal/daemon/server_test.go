@@ -31,11 +31,13 @@ func testProfile(t *testing.T, seed int64) *witch.Profile {
 
 func newTestServer(t *testing.T, cfg store.Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(store.New(cfg), Config{MaxBody: 4 << 20, Now: cfg.Now})
-	srv.SetState(StateServing)
-	ts := httptest.NewServer(srv.Handler())
+	node, err := OpenNode(NodeConfig{Store: cfg, Server: Config{MaxBody: 4 << 20, Now: cfg.Now}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(node.Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts
+	return node.Server(), ts
 }
 
 func ingest(t *testing.T, ts *httptest.Server, body []byte) *http.Response {
@@ -210,8 +212,10 @@ func TestIngestRejections(t *testing.T) {
 	}
 
 	// Size limit: a tiny cap rejects the same valid body outright.
-	small := NewServer(store.New(store.Config{}), Config{MaxBody: 16})
-	small.SetState(StateServing)
+	small, err := OpenNode(NodeConfig{Server: Config{MaxBody: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tss := httptest.NewServer(small.Handler())
 	defer tss.Close()
 	resp, err := http.Post(tss.URL+"/v1/ingest", "application/json", bytes.NewReader(good.Bytes()))

@@ -166,7 +166,7 @@ func TestTraceEndpointValidation(t *testing.T) {
 		}
 	}
 
-	bare := httptest.NewServer(NewServer(store.New(store.Config{}), Config{}).Handler())
+	bare := httptest.NewServer(newServer(store.New(store.Config{}), Config{}).Handler())
 	defer bare.Close()
 	for _, path := range []string{"/v1/trace/00000000000000ff", "/v1/slow"} {
 		r, err := http.Get(bare.URL + path)

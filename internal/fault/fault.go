@@ -65,7 +65,7 @@ const (
 
 	// The network classes fail the pusher→witchd HTTP path the way real
 	// networks fail, injected via the client RoundTripper seam
-	// (fault.Transport) or the daemon handler seam (daemon.ChaosHandler).
+	// (fault.Transport) or the daemon handler seam (daemon.NodeConfig.Chaos).
 
 	// ConnRefused fails the dial outright — daemon down or restarting,
 	// nothing reaches the wire.

@@ -1,13 +1,12 @@
 package harness
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/daemon"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/store"
@@ -149,9 +149,10 @@ func Cluster(w io.Writer, o Options) error {
 	return nil
 }
 
-// clusterNode is one witchd of a ring: durable journal on its own dir,
-// a real TCP listener on a stable port, killable with the journal
-// abandoned unsynced and restartable through crash recovery.
+// clusterNode is one witchd of a ring (or a standalone node): durable
+// journal on its own dir, a real TCP listener on a stable port,
+// killable with the journal abandoned unsynced and restartable through
+// crash recovery.
 type clusterNode struct {
 	dir     string
 	addr    string
@@ -161,95 +162,86 @@ type clusterNode struct {
 	client  *http.Client // inter-node client (nil = plain; replica runs thread faults here)
 	now     func() time.Time
 	walOpts wal.Options
-	ob      *obs.Observer // nil (the default) leaves the layer off
+	ob      *obs.Observer   // nil (the default) leaves the layer off
+	chaos   *fault.Injector // post-commit response faults (delivery runs); nil = none
 
-	st   *store.Store
+	node *daemon.Node
 	srv  *daemon.Server
-	pers *daemon.Persistence
 	cl   *cluster.Router
-	hs   *http.Server
 	ln   net.Listener // pre-reserved so peer lists exist before boot
 }
 
 func (n *clusterNode) start() error {
-	n.st = store.New(store.Config{Now: n.now})
-	n.srv = daemon.NewServer(n.st, daemon.Config{Now: n.now, MaxInflight: 64, Obs: n.ob})
-	n.srv.SetState(daemon.StateRecovering)
-	walOpts := n.walOpts
-	if n.ob != nil {
-		ob := n.ob
-		walOpts.ObserveCommit = func(wait time.Duration) { ob.Stage(obs.StageJournal, wait) }
+	cfg := daemon.NodeConfig{
+		Store:         store.Config{Now: n.now},
+		Server:        daemon.Config{Now: n.now, MaxInflight: 64, Obs: n.ob},
+		DataDir:       n.dir,
+		Journal:       n.walOpts,
+		SnapshotEvery: 16,
+		Replication: daemon.ReplicationConfig{
+			DrainInterval:  25 * time.Millisecond,
+			RepairInterval: -1, // the harness drives RepairNow explicitly
+		},
+		ReadHeaderTimeout: time.Second,
+		Chaos:             n.chaos,
 	}
-	pers, err := daemon.OpenPersistence(n.dir, n.st, n.srv.Dedup(), walOpts, 16)
-	if err != nil {
-		return fmt.Errorf("node %s recovery: %w", n.url, err)
-	}
-	n.pers = pers
-	n.srv.AttachPersistence(pers)
 	if len(n.peers) > 1 {
-		cl, err := cluster.New(cluster.Config{
+		cfg.Cluster = &cluster.Config{
 			Self: n.url, Peers: n.peers,
 			ReplicationFactor: n.rf,
 			Client:            n.client,
 			Logf:              func(string, ...any) {},
-			Obs:               n.ob,
-		})
-		if err != nil {
-			return err
-		}
-		n.cl = cl
-		n.srv.AttachCluster(cl)
-		if n.rf > 1 {
-			// The hint journals live under the node's own data dir: a
-			// data-dir wipe is a full identity wipe, hints included.
-			if err := n.srv.StartReplication(daemon.ReplicationConfig{
-				HintDir:        filepath.Join(n.dir, "hints"),
-				DrainInterval:  25 * time.Millisecond,
-				RepairInterval: -1, // the harness drives RepairNow explicitly
-				WalOpts:        n.walOpts,
-			}); err != nil {
-				return fmt.Errorf("node %s replication: %w", n.url, err)
-			}
 		}
 	}
-	n.srv.SetState(daemon.StateServing)
-	n.hs = daemon.HardenedServer(n.srv.Handler(), time.Second)
+	node, err := daemon.OpenNode(cfg)
+	if err != nil {
+		return fmt.Errorf("node %s: %w", n.url, err)
+	}
+	n.node, n.srv, n.cl = node, node.Server(), node.Server().Cluster()
 	ln := n.ln
 	n.ln = nil
 	if ln == nil {
 		if ln, err = listenPinned(n.addr); err != nil {
+			node.Kill()
 			return fmt.Errorf("node %s relisten: %w", n.url, err)
 		}
 	}
-	go n.hs.Serve(ln)
+	go node.Serve(ln)
 	return nil
 }
 
 // kill is the node's kill -9: connections severed, journal and hint
 // journals abandoned unsynced, no snapshot, no drain.
-func (n *clusterNode) kill() {
-	n.hs.Close()
-	n.srv.AbortReplication()
-	n.pers.Abandon()
+func (n *clusterNode) kill() { n.node.Kill() }
+
+// stop is the graceful drain used once a run's books are closed.
+func (n *clusterNode) stop() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return n.node.Drain(ctx)
 }
 
-func (n *clusterNode) stop() error {
-	n.hs.Close()
-	n.srv.StopReplication()
-	return n.pers.Shutdown()
+// nodeURLs lists the nodes' base URLs.
+func nodeURLs(cns []*clusterNode) []string {
+	urls := make([]string, len(cns))
+	for i, cn := range cns {
+		urls[i] = cn.url
+	}
+	return urls
+}
+
+// otherURLs lists every node's base URL but cns[skip]'s.
+func otherURLs(cns []*clusterNode, skip int) []string {
+	urls := nodeURLs(cns)
+	return append(urls[:skip:skip], urls[skip+1:]...)
 }
 
 // bootCluster reserves ports for the whole ring first (membership is
 // static and every node needs the full list at boot), then starts the
-// nodes.
-func bootCluster(root string, nodes int, now func() time.Time, walOpts wal.Options) ([]*clusterNode, error) {
-	return bootClusterWith(root, nodes, now, walOpts, nil)
-}
-
-// bootClusterWith is bootCluster with a per-node configure hook that
-// runs after the ports are reserved and before the node starts (the
-// replica experiment sets rf and the faulted inter-node client there).
-func bootClusterWith(root string, nodes int, now func() time.Time, walOpts wal.Options, configure func(*clusterNode)) ([]*clusterNode, error) {
+// nodes. configure, when set, runs per node after the ports are
+// reserved and before the node starts (the replica experiment sets rf
+// and the faulted inter-node client there).
+func bootCluster(root string, nodes int, now func() time.Time, walOpts wal.Options, configure func(*clusterNode)) ([]*clusterNode, error) {
 	cns := make([]*clusterNode, nodes)
 	urls := make([]string, nodes)
 	for i := range cns {
@@ -292,7 +284,7 @@ func runClusterScale(prof *witch.Profile, nodes, perNode, perPusher int, syncDel
 	defer os.RemoveAll(root)
 	epoch := time.Unix(1700000000, 0)
 	cns, err := bootCluster(root, nodes, func() time.Time { return epoch },
-		wal.Options{SyncDelay: syncDelay})
+		wal.Options{SyncDelay: syncDelay}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -338,7 +330,7 @@ func runClusterScale(prof *witch.Profile, nodes, perNode, perPusher int, syncDel
 
 	var ingested, forwards uint64
 	for _, cn := range cns {
-		ingested += cn.st.Stats().Ingested
+		ingested += cn.srv.StoreStats().Ingested
 		if cn.cl != nil {
 			forwards += cn.cl.StatsSnapshot().Forwards
 		}
@@ -402,7 +394,7 @@ func runClusterChaos(base *witch.Profile, o Options) (clusterChaos, error) {
 	defer os.RemoveAll(root)
 	epoch := time.Unix(1700000000, 0)
 	now := func() time.Time { return epoch }
-	cns, err := bootCluster(root, 3, now, wal.Options{GroupCommit: true})
+	cns, err := bootCluster(root, 3, now, wal.Options{GroupCommit: true}, nil)
 	if err != nil {
 		return res, err
 	}
@@ -414,39 +406,15 @@ func runClusterChaos(base *witch.Profile, o Options) (clusterChaos, error) {
 	// fail over), and a query shard (survivors must mark it).
 	ps := make([]*deliveryPusher, pushers)
 	for i := range ps {
-		prof := *base
-		prof.Program = fmt.Sprintf("prog-%02d", i)
 		owner := i % 3
-		var others []string
-		for j, cn := range cns {
-			if j != owner {
-				others = append(others, cn.url)
-			}
-		}
-		cp := &deliveryPusher{
-			prof:     &prof,
-			spoolDir: filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
-			url:      cns[owner].url,
-			urls:     others,
-			byReason: map[string]uint64{},
-		}
-		if cp.body, err = prof.AppendBinary(nil); err != nil {
+		cp, err := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
+			cns[owner].url, otherURLs(cns, owner))
+		if err != nil {
 			return res, err
 		}
-		// Re-draw the durable identity until node i%3 owns it: open the
-		// spool (which mints and persists the ID), check, discard.
-		for try := 0; ; try++ {
-			if err := cp.open(false); err != nil {
-				return res, err
-			}
-			if cns[0].cl.Owner(cp.p.ID()) == cns[owner].url {
-				break
-			}
-			cp.p.Close()
-			os.RemoveAll(cp.spoolDir)
-			if try == 200 {
-				return res, fmt.Errorf("no pusher identity hashed to node %d in 200 draws", owner)
-			}
+		// Re-draw the durable identity until node i%3 owns it.
+		if err := cp.openOwned(false, func(id string) bool { return cns[0].cl.Owner(id) == cns[owner].url }); err != nil {
+			return res, err
 		}
 		ps[i] = cp
 	}
@@ -530,7 +498,7 @@ func runClusterChaos(base *witch.Profile, o Options) (clusterChaos, error) {
 	}
 	for _, cn := range cns {
 		res.Forwarded += cn.cl.StatsSnapshot().Forwards
-		ds := cn.srv.Dedup().Stats()
+		ds := cn.srv.DedupStats()
 		res.Dups += ds.Duplicates + ds.Stale
 	}
 	if res.Forwarded == 0 {
@@ -543,7 +511,7 @@ func runClusterChaos(base *witch.Profile, o Options) (clusterChaos, error) {
 	// Oracle: a fault-free standalone witchd fed exactly the acked
 	// batches. Every node of the ring must serve the byte-identical
 	// merged profile for every program.
-	if err := clusterOracleCompare(cns, now, ps); err != nil {
+	if err := oracleCompare(now, ps, nodeURLs(cns)...); err != nil {
 		return res, err
 	}
 	for _, cn := range cns {
@@ -552,52 +520,4 @@ func runClusterChaos(base *witch.Profile, o Options) (clusterChaos, error) {
 		}
 	}
 	return res, nil
-}
-
-// clusterOracleCompare rebuilds the fault-free truth on one node and
-// compares every ring node's scatter-gathered answer against it.
-func clusterOracleCompare(cns []*clusterNode, now func() time.Time, ps []*deliveryPusher) error {
-	ost := store.New(store.Config{Now: now})
-	osrv := daemon.NewServer(ost, daemon.Config{Now: now})
-	osrv.SetState(daemon.StateServing)
-	oh := osrv.Handler()
-	for i, cp := range ps {
-		for k := uint64(0); k < cp.sent; k++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(cp.body))
-			req.Header.Set("Content-Type", witch.BinaryContentType)
-			rec := httptest.NewRecorder()
-			oh.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				return fmt.Errorf("oracle ingest for pusher %d: %d %s", i, rec.Code, rec.Body.String())
-			}
-		}
-	}
-	for i, cp := range ps {
-		q := "/v1/profile?tool=" + cp.prof.Tool + "&program=" + cp.prof.Program
-		rec := httptest.NewRecorder()
-		oh.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, q, nil))
-		for _, cn := range cns {
-			resp, err := http.Get(cn.url + q)
-			if err != nil {
-				return fmt.Errorf("querying node %s: %w", cn.url, err)
-			}
-			got, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				return err
-			}
-			if resp.StatusCode != rec.Code {
-				return fmt.Errorf("pusher %d (%d acked): node %s answered %d, oracle %d",
-					i, cp.sent, cn.url, resp.StatusCode, rec.Code)
-			}
-			if inc := resp.Header.Get("X-Witch-Incomplete"); inc != "" {
-				return fmt.Errorf("node %s still partial after restart: %s", cn.url, inc)
-			}
-			if !bytes.Equal(got, rec.Body.Bytes()) {
-				return fmt.Errorf("pusher %d (%d acked): node %s diverges from the fault-free oracle — acked loss or double merge\n got: %.200s\nwant: %.200s",
-					i, cp.sent, cn.url, got, rec.Body.Bytes())
-			}
-		}
-	}
-	return nil
 }

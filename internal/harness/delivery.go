@@ -145,62 +145,6 @@ type deliveryResult struct {
 	dups                                              uint64
 }
 
-// deliveryDaemon is one witchd under torture: a real TCP listener on a
-// stable port, restartable, killable with the journal abandoned
-// unsynced (the page cache survives a kill -9, which is exactly what
-// reopening the files in-process reads back).
-type deliveryDaemon struct {
-	dir  string
-	addr string
-	now  func() time.Time
-
-	st   *store.Store
-	srv  *daemon.Server
-	pers *daemon.Persistence
-	hs   *http.Server
-}
-
-func (d *deliveryDaemon) start(inj *fault.Injector) error {
-	d.st = store.New(store.Config{Now: d.now})
-	d.srv = daemon.NewServer(d.st, daemon.Config{Now: d.now, MaxInflight: 64})
-	d.srv.SetState(daemon.StateRecovering)
-	pers, err := daemon.OpenPersistence(d.dir, d.st, d.srv.Dedup(), wal.Options{GroupCommit: true}, 16)
-	if err != nil {
-		return fmt.Errorf("daemon recovery: %w", err)
-	}
-	d.pers = pers
-	d.srv.AttachPersistence(pers)
-	d.srv.SetState(daemon.StateServing)
-
-	handler := http.Handler(d.srv.Handler())
-	if inj != nil {
-		handler = daemon.ChaosHandler(handler, inj)
-	}
-	d.hs = daemon.HardenedServer(handler, time.Second)
-	ln, err := listenPinned(d.addr)
-	if err != nil {
-		return fmt.Errorf("daemon listen: %w", err)
-	}
-	if d.addr == "127.0.0.1:0" {
-		d.addr = ln.Addr().String() // pin the port for every restart
-	}
-	go d.hs.Serve(ln)
-	return nil
-}
-
-// kill is the daemon's kill -9: connections severed, journal abandoned
-// without sync, no snapshot, no drain.
-func (d *deliveryDaemon) kill() {
-	d.hs.Close()
-	d.pers.Abandon()
-}
-
-// stop is the graceful exit used once the sweep's books are closed.
-func (d *deliveryDaemon) stop() error {
-	d.hs.Close()
-	return d.pers.Shutdown()
-}
-
 // deliveryPusher is one pusher across its incarnations, with the
 // driver-side cumulative books.
 type deliveryPusher struct {
@@ -227,6 +171,20 @@ type deliveryPusher struct {
 	dropped  uint64
 	evicted  uint64 // lifetime (spool meta), take the last observation
 	byReason map[string]uint64
+}
+
+// newDeliveryPusher prepares a pusher of copies of base under its own
+// program name — its batches merge into a private accumulator whose
+// bytes witness its delivery count — entering at url with urls as
+// failover targets. open starts it.
+func newDeliveryPusher(base *witch.Profile, program, spoolDir, url string, urls []string) (*deliveryPusher, error) {
+	prof := *base
+	prof.Program = program
+	body, err := prof.AppendBinary(nil)
+	if err != nil {
+		return nil, err
+	}
+	return &deliveryPusher{prof: &prof, body: body, spoolDir: spoolDir, url: url, urls: urls, byReason: map[string]uint64{}}, nil
 }
 
 // open boots a pusher incarnation over the durable spool dir. faulty
@@ -260,6 +218,22 @@ func (cp *deliveryPusher) open(faulty bool) error {
 	cp.p = p
 	cp.base = p.Stats().SpoolPending
 	return nil
+}
+
+// openOwned opens incarnations over fresh durable identities (the
+// spool mints and persists one) until accept takes one.
+func (cp *deliveryPusher) openOwned(faulty bool, accept func(id string) bool) error {
+	for try := 0; try < 200; try++ {
+		if err := cp.open(faulty); err != nil {
+			return err
+		}
+		if accept(cp.p.ID()) {
+			return nil
+		}
+		cp.p.Close()
+		os.RemoveAll(cp.spoolDir)
+	}
+	return fmt.Errorf("no pusher identity had the wanted placement in 200 draws")
 }
 
 // harvest folds a finished incarnation's counters into the books.
@@ -346,10 +320,16 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 	if c.server.Enabled() {
 		serverInj = fault.NewInjector(c.server)
 	}
-	d := &deliveryDaemon{dir: filepath.Join(root, "witchd"), addr: "127.0.0.1:0", now: now}
-	if err := d.start(serverInj); err != nil {
+	// The daemon under torture: a standalone node, killable with its
+	// journal abandoned unsynced (the page cache survives a kill -9,
+	// which is exactly what reopening the files in-process reads back).
+	cns, err := bootCluster(root, 1, now, wal.Options{GroupCommit: true}, func(cn *clusterNode) {
+		cn.chaos = serverInj
+	})
+	if err != nil {
 		return res, err
 	}
+	d := cns[0]
 	clientInj := fault.NewInjector(c.client)
 	var diskInj *fault.Injector
 	if c.disk.Enabled() {
@@ -358,22 +338,11 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 
 	ps := make([]*deliveryPusher, pushers)
 	for i := range ps {
-		// Each pusher gets its own program name: its batches merge into
-		// a private accumulator whose bytes witness its delivery count.
-		prof := *base
-		prof.Program = fmt.Sprintf("prog-%02d", i)
-		cp := &deliveryPusher{
-			prof:      &prof,
-			spoolDir:  filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
-			spoolMax:  c.spoolMax,
-			url:       "http://" + d.addr,
-			clientInj: clientInj,
-			diskInj:   diskInj,
-			byReason:  map[string]uint64{},
-		}
-		if cp.body, err = prof.AppendBinary(nil); err != nil {
+		cp, err := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)), d.url, nil)
+		if err != nil {
 			return res, err
 		}
+		cp.spoolMax, cp.clientInj, cp.diskInj = c.spoolMax, clientInj, diskInj
 		if err := cp.open(true); err != nil {
 			return res, err
 		}
@@ -393,7 +362,7 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 	}
 	var maxDups uint64
 	observeDups := func() {
-		st := d.srv.Dedup().Stats()
+		st := d.srv.DedupStats()
 		if n := st.Duplicates + st.Stale; n > maxDups {
 			maxDups = n
 		}
@@ -419,7 +388,7 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 	// dark window that forces spooling, spool faults, and eviction);
 	// the mid-stream sweeps restart immediately.
 	if c.midStream {
-		if err := d.start(serverInj); err != nil {
+		if err := d.start(); err != nil {
 			return res, err
 		}
 	}
@@ -430,7 +399,7 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 		return res, err
 	}
 	if !c.midStream {
-		if err := d.start(serverInj); err != nil {
+		if err := d.start(); err != nil {
 			return res, err
 		}
 	}
@@ -451,7 +420,7 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 		time.Sleep(20 * time.Millisecond)
 		observeDups()
 		d.kill()
-		if err := d.start(serverInj); err != nil {
+		if err := d.start(); err != nil {
 			return res, err
 		}
 	}
@@ -468,7 +437,8 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 	}
 	observeDups()
 	d.kill()
-	if err := d.start(nil); err != nil {
+	d.chaos = nil
+	if err := d.start(); err != nil {
 		return res, err
 	}
 	if err := each(func(cp *deliveryPusher) error { return cp.await(cp.drained, "drained", 60*time.Second) }); err != nil {
@@ -528,7 +498,7 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 	// batches. Byte-identical /v1/profile per program is the
 	// exactly-once proof — a lost acked batch or a double merge shifts
 	// the merged counters and the bytes diverge.
-	if err := deliveryOracleCompare(d, now, ps); err != nil {
+	if err := oracleCompare(now, ps, d.url); err != nil {
 		return res, err
 	}
 	if err := d.stop(); err != nil {
@@ -537,13 +507,21 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 	return res, nil
 }
 
-// deliveryOracleCompare rebuilds the fault-free truth and compares the
-// tortured daemon's merged view against it, byte for byte.
-func deliveryOracleCompare(d *deliveryDaemon, now func() time.Time, ps []*deliveryPusher) error {
-	ost := store.New(store.Config{Now: now})
-	osrv := daemon.NewServer(ost, daemon.Config{Now: now})
-	osrv.SetState(daemon.StateServing)
-	oh := osrv.Handler()
+// oracleCompare rebuilds the fault-free truth — a memory-only node fed
+// exactly the acknowledged batches — and compares every node's merged
+// GET /v1/profile for every pusher's program against it, byte for
+// byte. A lost acked batch or a double merge shifts the merged
+// counters and the bytes diverge; an answer still marked
+// X-Witch-Incomplete fails outright.
+func oracleCompare(now func() time.Time, ps []*deliveryPusher, urls ...string) error {
+	oracle, err := daemon.OpenNode(daemon.NodeConfig{
+		Store:  store.Config{Now: now},
+		Server: daemon.Config{Now: now},
+	})
+	if err != nil {
+		return err
+	}
+	oh := oracle.Handler()
 	for i, cp := range ps {
 		for k := uint64(0); k < cp.sent; k++ {
 			req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(cp.body))
@@ -559,22 +537,27 @@ func deliveryOracleCompare(d *deliveryDaemon, now func() time.Time, ps []*delive
 		q := "/v1/profile?tool=" + cp.prof.Tool + "&program=" + cp.prof.Program
 		rec := httptest.NewRecorder()
 		oh.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, q, nil))
-		resp, err := http.Get("http://" + d.addr + q)
-		if err != nil {
-			return fmt.Errorf("querying tortured daemon: %w", err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != rec.Code {
-			return fmt.Errorf("pusher %d (%d acked): daemon answered %d, oracle %d",
-				i, cp.sent, resp.StatusCode, rec.Code)
-		}
-		if !bytes.Equal(got, rec.Body.Bytes()) {
-			return fmt.Errorf("pusher %d (%d acked): merged profile diverges from the fault-free oracle — acked loss or double merge\n got: %.200s\nwant: %.200s",
-				i, cp.sent, got, rec.Body.Bytes())
+		for _, url := range urls {
+			resp, err := http.Get(url + q)
+			if err != nil {
+				return fmt.Errorf("querying node %s: %w", url, err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return err
+			}
+			if resp.StatusCode != rec.Code {
+				return fmt.Errorf("pusher %d (%d acked): node %s answered %d, oracle %d",
+					i, cp.sent, url, resp.StatusCode, rec.Code)
+			}
+			if inc := resp.Header.Get("X-Witch-Incomplete"); inc != "" {
+				return fmt.Errorf("node %s still partial: %s", url, inc)
+			}
+			if !bytes.Equal(got, rec.Body.Bytes()) {
+				return fmt.Errorf("pusher %d (%d acked): node %s diverges from the fault-free oracle — acked loss or double merge\n got: %.200s\nwant: %.200s",
+					i, cp.sent, url, got, rec.Body.Bytes())
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/daemon"
 	"repro/internal/report"
-	"repro/internal/store"
 	"repro/internal/wal"
 	"repro/witch"
 )
@@ -281,18 +281,15 @@ func runIngestMode(prof *witch.Profile, pushers, perPusher int, group bool, dela
 	}
 	defer os.RemoveAll(dir)
 
-	st := store.New(store.Config{})
-	srv := daemon.NewServer(st, daemon.Config{MaxInflight: 2 * pushers})
-	srv.SetState(daemon.StateRecovering)
-	pers, err := daemon.OpenPersistence(dir, st, srv.Dedup(), wal.Options{
-		GroupCommit: group, MaxCommitDelay: delay,
-	}, 0)
+	node, err := daemon.OpenNode(daemon.NodeConfig{
+		Server:  daemon.Config{MaxInflight: 2 * pushers},
+		DataDir: dir,
+		Journal: wal.Options{GroupCommit: group, MaxCommitDelay: delay},
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	srv.AttachPersistence(pers)
-	srv.SetState(daemon.StateServing)
-	handler := srv.Handler()
+	handler := node.Handler()
 
 	errc := make(chan error, pushers)
 	start := time.Now()
@@ -325,15 +322,15 @@ func runIngestMode(prof *witch.Profile, pushers, perPusher int, group bool, dela
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	commits := pers.JournalCommits()
+	commits := node.JournalCommits()
 	close(errc)
 	for err := range errc {
 		return 0, 0, err
 	}
-	if got, want := st.Stats().Ingested, uint64(pushers*perPusher); got != want {
+	if got, want := node.Server().StoreStats().Ingested, uint64(pushers*perPusher); got != want {
 		return 0, 0, fmt.Errorf("daemon ingested %d profiles, want %d", got, want)
 	}
-	if err := pers.Shutdown(); err != nil {
+	if err := node.Drain(context.Background()); err != nil {
 		return 0, 0, fmt.Errorf("shutdown: %w", err)
 	}
 	return elapsed, commits, nil

@@ -144,7 +144,7 @@ func runObsLoad(prof *witch.Profile, pushers, perPusher int, enabled bool) (time
 	}
 	defer os.RemoveAll(root)
 	epoch := time.Unix(1700000000, 0)
-	cns, err := bootClusterWith(root, 1, func() time.Time { return epoch },
+	cns, err := bootCluster(root, 1, func() time.Time { return epoch },
 		wal.Options{NoSync: true}, func(cn *clusterNode) {
 			if enabled {
 				cn.ob = obs.New(obs.Options{Node: cn.url, TraceRing: 4096, SlowCapture: 32})
@@ -221,7 +221,7 @@ func runObsTrace(prof *witch.Profile, o Options) (obsTraceTree, error) {
 	now := func() time.Time { return epoch }
 	walOpts := wal.Options{GroupCommit: true}
 	boot := func(dir string, traced bool) ([]*clusterNode, error) {
-		return bootClusterWith(filepath.Join(root, dir), 3, now, walOpts, func(cn *clusterNode) {
+		return bootCluster(filepath.Join(root, dir), 3, now, walOpts, func(cn *clusterNode) {
 			cn.rf = 2
 			if traced {
 				cn.ob = obs.New(obs.Options{Node: cn.url, TraceRing: 4096, SlowCapture: 8})

@@ -135,11 +135,15 @@ type localDaemon struct {
 	h   http.Handler
 }
 
-func newLocalDaemon(now func() time.Time, uncached bool) *localDaemon {
-	st := store.New(store.Config{Now: now, NoCache: uncached})
-	srv := daemon.NewServer(st, daemon.Config{Now: now, NoQueryCache: uncached})
-	srv.SetState(daemon.StateServing)
-	return &localDaemon{srv: srv, h: srv.Handler()}
+func newLocalDaemon(now func() time.Time, uncached bool) (*localDaemon, error) {
+	node, err := daemon.OpenNode(daemon.NodeConfig{
+		Store:  store.Config{Now: now, NoCache: uncached},
+		Server: daemon.Config{Now: now, NoQueryCache: uncached},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &localDaemon{srv: node.Server(), h: node.Handler()}, nil
 }
 
 func (d *localDaemon) ingest(body []byte) error {
@@ -162,8 +166,14 @@ func (d *localDaemon) get(path string) (int, []byte) {
 func runQuerySingle(w io.Writer, o Options, res *queryResult, programs, pairsPer, cachedIters, oracleIters, trickleRounds int) error {
 	epoch := time.Unix(1700000000, 0)
 	now := func() time.Time { return epoch }
-	cached := newLocalDaemon(now, false)
-	oracle := newLocalDaemon(now, true)
+	cached, err := newLocalDaemon(now, false)
+	if err != nil {
+		return err
+	}
+	oracle, err := newLocalDaemon(now, true)
+	if err != nil {
+		return err
+	}
 
 	bodies := make([][]byte, programs)
 	for i := range bodies {
@@ -205,7 +215,6 @@ func runQuerySingle(w io.Writer, o Options, res *queryResult, programs, pairsPer
 		}
 		return float64(iters) / time.Since(start).Seconds(), nil
 	}
-	var err error
 	if res.OracleQPS, err = timeQueries(oracle, oracleIters); err != nil {
 		return err
 	}
@@ -268,11 +277,14 @@ func runQueryFleet(w io.Writer, o Options, res *queryResult) error {
 	defer os.RemoveAll(root)
 	epoch := time.Unix(1700000000, 0)
 	now := func() time.Time { return epoch }
-	cns, err := bootCluster(root, 3, now, wal.Options{GroupCommit: true})
+	cns, err := bootCluster(root, 3, now, wal.Options{GroupCommit: true}, nil)
 	if err != nil {
 		return err
 	}
-	oracle := newLocalDaemon(now, true)
+	oracle, err := newLocalDaemon(now, true)
+	if err != nil {
+		return err
+	}
 
 	// Keyed seeding: pusher i enters at node i%3, the ring forwards to
 	// the owner, so the state is genuinely sharded. The oracle eats the

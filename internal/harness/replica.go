@@ -148,7 +148,7 @@ func runReplica(base *witch.Profile, pushers, perRound int, o Options) (replicaR
 	// counted DropSpoolError path is the only loss the books permit).
 	diskInj := fault.NewInjector(fault.Plan{ShortWrite: 0.03, ENOSPC: 0.03, Seed: o.Seed + 92})
 
-	cns, err := bootClusterWith(root, 3, now, wal.Options{GroupCommit: true}, func(cn *clusterNode) {
+	cns, err := bootCluster(root, 3, now, wal.Options{GroupCommit: true}, func(cn *clusterNode) {
 		cn.rf = 2
 		cn.client = interNode
 	})
@@ -245,12 +245,41 @@ func runReplica(base *witch.Profile, pushers, perRound int, o Options) (replicaR
 		return res, err
 	}
 
-	// Round 3 against the two survivors: pushers entering at the dead
-	// node fail over, batches it owned reroute to promoted followers,
-	// and its share of new batches queues as hints for the replacement.
+	// A reroute needs a non-member entry node that already knows the
+	// dead owner is dead. The reroute pusher has no failover URL and
+	// enters at cns[0] outside the dead owner's replica set, so every
+	// ack it gets is a reroute. Its first batches fail there, and the
+	// entry's 503 Retry-After parks them all in the faulted spool — a
+	// fixed count of disk-fault opportunities. Round 3 against the two
+	// survivors runs meanwhile: pushers entering at the dead node fail
+	// over, batches it owned reroute to promoted followers, its share
+	// of new batches queues as hints for the replacement, and the failed
+	// legs open the entry's breaker. Once the entry reports it open, the
+	// reroute pusher sends one more batch.
+	rp, err := newDeliveryPusher(base, "prog-reroute", filepath.Join(root, "spool-reroute"), cns[0].url, nil)
+	if err != nil {
+		return res, err
+	}
+	rp.diskInj = diskInj
+	ref := cns[0].cl
+	if err := rp.openOwned(true, func(id string) bool {
+		return ref.Owner(id) == victim.url && !ref.InReplicaSet(id, cns[0].url)
+	}); err != nil {
+		return res, err
+	}
+	if err := rp.pushRound(2 * perRound); err != nil {
+		return res, err
+	}
 	if err := pushAll(); err != nil {
 		return res, err
 	}
+	if err := awaitBreakerOpen(cns[0], victim.url, 30*time.Second); err != nil {
+		return res, err
+	}
+	if err := rp.pushRound(1); err != nil {
+		return res, err
+	}
+	ps = append(ps, rp)
 	if err := drainAll(); err != nil {
 		return res, err
 	}
@@ -276,7 +305,7 @@ func runReplica(base *witch.Profile, pushers, perRound int, o Options) (replicaR
 	// SURVIVOR serves every pusher's merged profile byte-identical to
 	// the fault-free oracle, complete, no partial marker.
 	survivors := []*clusterNode{cns[0], cns[1]}
-	if err := clusterOracleCompare(survivors, now, ps); err != nil {
+	if err := oracleCompare(now, ps, nodeURLs(survivors)...); err != nil {
 		return res, fmt.Errorf("after permanent loss: %w", err)
 	}
 
@@ -300,7 +329,7 @@ func runReplica(base *witch.Profile, pushers, perRound int, o Options) (replicaR
 
 	// The second gate: the converged ring — replacement included —
 	// serves the oracle bytes from every node.
-	if err := clusterOracleCompare(cns, now, ps); err != nil {
+	if err := oracleCompare(now, ps, nodeURLs(cns)...); err != nil {
 		return res, fmt.Errorf("after replacement convergence: %w", err)
 	}
 
@@ -313,7 +342,7 @@ func runReplica(base *witch.Profile, pushers, perRound int, o Options) (replicaR
 		res.HintsQueued += rs.HintsQueued
 		res.HintsReplayed += rs.HintsReplayed
 		res.RepairPulls += rs.RepairPulls
-		ds := cn.srv.Dedup().Stats()
+		ds := cn.srv.DedupStats()
 		res.Dups += ds.Duplicates + ds.Stale
 	}
 	res.NetInjected = netInj.TotalInjected()
@@ -352,45 +381,37 @@ func runReplica(base *witch.Profile, pushers, perRound int, o Options) (replicaR
 func replicaPushers(cns []*clusterNode, base *witch.Profile, pushers int, root string, diskInj *fault.Injector) ([]*deliveryPusher, error) {
 	ps := make([]*deliveryPusher, pushers)
 	for i := range ps {
-		prof := *base
-		prof.Program = fmt.Sprintf("prog-%02d", i)
 		owner := i % 3
 		entry := (owner + 1) % 3
-		var others []string
-		for j, cn := range cns {
-			if j != entry {
-				others = append(others, cn.url)
-			}
-		}
-		cp := &deliveryPusher{
-			prof:     &prof,
-			spoolDir: filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
-			url:      cns[entry].url,
-			urls:     others,
-			diskInj:  diskInj,
-			byReason: map[string]uint64{},
-		}
-		var err error
-		if cp.body, err = prof.AppendBinary(nil); err != nil {
+		cp, err := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
+			cns[entry].url, otherURLs(cns, entry))
+		if err != nil {
 			return nil, err
 		}
+		cp.diskInj = diskInj
 		// Re-draw the durable identity until node i%3 owns it.
-		for try := 0; ; try++ {
-			if err := cp.open(true); err != nil {
-				return nil, err
-			}
-			if cns[0].cl.Owner(cp.p.ID()) == cns[owner].url {
-				break
-			}
-			cp.p.Close()
-			os.RemoveAll(cp.spoolDir)
-			if try == 200 {
-				return nil, fmt.Errorf("no pusher identity hashed to node %d in 200 draws", owner)
-			}
+		if err := cp.openOwned(true, func(id string) bool { return cns[0].cl.Owner(id) == cns[owner].url }); err != nil {
+			return nil, err
 		}
 		ps[i] = cp
 	}
 	return ps, nil
+}
+
+// awaitBreakerOpen polls cn's breaker view until peer's breaker is open.
+func awaitBreakerOpen(cn *clusterNode, peer string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		for _, st := range cn.cl.PeerStates() {
+			if st.Peer == peer && st.Open {
+				return nil
+			}
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s never opened its breaker for the dead owner %s", cn.url, peer)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // awaitHintsDrained sweeps every node's hint queues until nothing is
