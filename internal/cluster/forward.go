@@ -44,61 +44,31 @@ func (fr *ForwardResult) Shed() bool {
 // exists: the caller sheds with Retry-After and the pusher keeps the
 // batch.
 func (r *Router) Forward(ctx context.Context, owner, ctype, pusherID string, seq uint64, body []byte) (*ForwardResult, error) {
-	if wait := r.breakerGate(owner); wait > 0 {
-		r.forwardErrors.Add(1)
-		return nil, &PeerDownError{Peer: owner, RetryAfter: wait}
-	}
-	ctx, cancel := context.WithTimeout(ctx, r.forwardTO)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/v1/ingest", bytes.NewReader(body))
-	if err != nil {
-		r.forwardErrors.Add(1)
-		return nil, &PeerDownError{Peer: owner, RetryAfter: DefaultRetryAfter, Err: err}
-	}
-	req.Header.Set("Content-Type", ctype)
-	req.Header.Set(witch.PusherIDHeader, pusherID)
-	req.Header.Set(witch.PusherSeqHeader, strconv.FormatUint(seq, 10))
-	req.Header.Set(ForwardedHeader, r.self)
-	req.Header.Set(RingHeader, r.ringHash)
-	sp := r.traceSpan(ctx, req, "forward_leg", owner)
-	sp.Annotate(pusherID, seq)
-	t0 := r.obs.Start()
-	resp, err := r.client.Do(req)
-	if err != nil {
-		sp.Fail(err.Error())
-		sp.End()
-		r.breakerFailure(owner, 0, false)
-		r.forwardErrors.Add(1)
-		return nil, &PeerDownError{Peer: owner, RetryAfter: DefaultRetryAfter, Err: err}
-	}
-	ack, err := io.ReadAll(io.LimitReader(resp.Body, maxAckBody))
-	resp.Body.Close()
-	r.obs.PeerSince("forward", owner, t0)
-	if err != nil {
-		sp.Fail(err.Error())
-	}
-	sp.End()
-	if err != nil {
+	rep, err := r.postLeg(ctx, owner, "/v1/ingest", "forward", ctype, pusherID, seq, body, ForwardedHeader, r.self)
+	if err == nil && rep.torn != nil {
 		// The owner may have committed before the response tore, so this
 		// is NOT a safe moment to re-route; shed and let the pusher retry
 		// the same sequence number at the same owner, where dedup re-acks.
 		r.breakerFailure(owner, 0, false)
+		err = &PeerDownError{Peer: owner, RetryAfter: DefaultRetryAfter,
+			Err: fmt.Errorf("reading owner ack: %w", rep.torn)}
+	}
+	if err != nil {
 		r.forwardErrors.Add(1)
-		return nil, &PeerDownError{Peer: owner, RetryAfter: DefaultRetryAfter,
-			Err: fmt.Errorf("reading owner ack: %w", err)}
+		return nil, err
 	}
 	fr := &ForwardResult{
-		Status:     resp.StatusCode,
-		Body:       ack,
-		Ctype:      resp.Header.Get("Content-Type"),
-		RetryAfter: resp.Header.Get("Retry-After"),
-		Duplicate:  resp.Header.Get("X-Witch-Duplicate"),
+		Status:     rep.status,
+		Body:       rep.body,
+		Ctype:      rep.header.Get("Content-Type"),
+		RetryAfter: rep.header.Get("Retry-After"),
+		Duplicate:  rep.header.Get("X-Witch-Duplicate"),
 	}
 	if fr.Shed() {
 		// The owner is up but shedding: open the breaker for exactly the
 		// interval it advertised, so the next batch for that owner sheds
 		// here instantly instead of burning a doomed hop.
-		ra := r.parseRetryAfter(resp.Header)
+		ra := r.parseRetryAfter(rep.header)
 		if ra <= 0 {
 			ra = DefaultRetryAfter
 		}
@@ -109,4 +79,58 @@ func (r *Router) Forward(ctx context.Context, owner, ctype, pusherID string, seq
 		r.forwards.Add(1)
 	}
 	return fr, nil
+}
+
+// legReply is a peer's answer to one batch leg.
+type legReply struct {
+	status int
+	header http.Header
+	body   []byte // bounded by maxAckBody
+	torn   error  // the body tore after the status line
+}
+
+// postLeg is the peer POST that forwards and replication legs share:
+// the breaker gate, ForwardTimeout, the key and ring headers plus the
+// leg's own header (hdr: val), the client span (failed on a non-2xx status or a torn
+// body), the peer RTT, the breaker failure of a transport error, and
+// the bounded body read. A *PeerDownError means no response arrived;
+// otherwise the caller maps the reply to its verdict and settles the
+// breaker. Counters are the caller's.
+func (r *Router) postLeg(ctx context.Context, peer, path, op, ctype, pusherID string, seq uint64, body []byte, hdr, val string) (*legReply, error) {
+	if wait := r.breakerGate(peer); wait > 0 {
+		return nil, &PeerDownError{Peer: peer, RetryAfter: wait}
+	}
+	ctx, cancel := context.WithTimeout(ctx, r.forwardTO)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, &PeerDownError{Peer: peer, RetryAfter: DefaultRetryAfter, Err: err}
+	}
+	req.Header.Set("Content-Type", ctype)
+	req.Header.Set(witch.PusherIDHeader, pusherID)
+	req.Header.Set(witch.PusherSeqHeader, strconv.FormatUint(seq, 10))
+	req.Header.Set(RingHeader, r.ringHash)
+	req.Header.Set(hdr, val)
+	sp := r.traceSpan(ctx, req, op+"_leg", peer)
+	sp.Annotate(pusherID, seq)
+	t0 := r.obs.Start()
+	resp, err := r.client.Do(req)
+	if err != nil {
+		sp.Fail(err.Error())
+		sp.End()
+		r.breakerFailure(peer, 0, false)
+		return nil, &PeerDownError{Peer: peer, RetryAfter: DefaultRetryAfter, Err: err}
+	}
+	rep := &legReply{status: resp.StatusCode, header: resp.Header}
+	rep.body, rep.torn = io.ReadAll(io.LimitReader(resp.Body, maxAckBody))
+	resp.Body.Close()
+	r.obs.PeerSince(op, peer, t0)
+	switch {
+	case rep.torn != nil:
+		sp.Fail(rep.torn.Error())
+	case resp.StatusCode < 200 || resp.StatusCode >= 300:
+		sp.Fail(resp.Status)
+	}
+	sp.End()
+	return rep, nil
 }

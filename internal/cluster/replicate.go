@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
-
-	"repro/witch"
 )
 
 // NoteReroute counts a forward that skipped a breaker-open replica in
@@ -35,59 +31,31 @@ type ReplicateResult struct {
 // a breaker-open peer fails fast here, and a replication failure opens
 // the breaker for forwards too (it is the same TCP path that is down).
 func (r *Router) Replicate(ctx context.Context, peer, ctype, pusherID string, seq uint64, ts time.Time, body []byte) (*ReplicateResult, error) {
-	if wait := r.breakerGate(peer); wait > 0 {
-		r.replicateErrors.Add(1)
-		return nil, &PeerDownError{Peer: peer, RetryAfter: wait}
-	}
-	ctx, cancel := context.WithTimeout(ctx, r.forwardTO)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/replicate", bytes.NewReader(body))
+	rep, err := r.postLeg(ctx, peer, "/v1/replicate", "replicate", ctype, pusherID, seq, body,
+		TimestampHeader, strconv.FormatInt(ts.UnixNano(), 10))
 	if err != nil {
 		r.replicateErrors.Add(1)
-		return nil, &PeerDownError{Peer: peer, RetryAfter: DefaultRetryAfter, Err: err}
+		return nil, err
 	}
-	req.Header.Set("Content-Type", ctype)
-	req.Header.Set(witch.PusherIDHeader, pusherID)
-	req.Header.Set(witch.PusherSeqHeader, strconv.FormatUint(seq, 10))
-	req.Header.Set(TimestampHeader, strconv.FormatInt(ts.UnixNano(), 10))
-	req.Header.Set(RingHeader, r.ringHash)
-	sp := r.traceSpan(ctx, req, "replicate_leg", peer)
-	sp.Annotate(pusherID, seq)
-	t0 := r.obs.Start()
-	resp, err := r.client.Do(req)
-	if err != nil {
-		sp.Fail(err.Error())
-		sp.End()
-		r.breakerFailure(peer, 0, false)
-		r.replicateErrors.Add(1)
-		return nil, &PeerDownError{Peer: peer, RetryAfter: DefaultRetryAfter, Err: err}
-	}
-	// Drain so the connection is reusable. A torn body after the status
-	// line is ignored: unlike forwards (where the body IS the relayed
-	// pusher ack), the replication verdict is the status alone, and a
-	// 2xx means the follower committed before writing it.
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxAckBody))
-	resp.Body.Close()
-	r.obs.PeerSince("replicate", peer, t0)
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		sp.Fail(resp.Status)
-	}
-	sp.End()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		ra := r.parseRetryAfter(resp.Header)
-		verdict := resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable
+	// A torn body after the status line is ignored: unlike forwards
+	// (where the body IS the relayed pusher ack), the replication verdict
+	// is the status alone, and a 2xx means the follower committed before
+	// writing it.
+	if rep.status < 200 || rep.status >= 300 {
+		ra := r.parseRetryAfter(rep.header)
+		verdict := rep.status == http.StatusTooManyRequests || rep.status == http.StatusServiceUnavailable
 		if verdict && ra <= 0 {
 			ra = DefaultRetryAfter
 		}
 		r.breakerFailure(peer, ra, verdict)
 		r.replicateErrors.Add(1)
-		return nil, &PeerDownError{Peer: peer, RetryAfter: ra, Status: resp.StatusCode,
-			Err: fmt.Errorf("replica %s refused batch: status %d", peer, resp.StatusCode)}
+		return nil, &PeerDownError{Peer: peer, RetryAfter: ra, Status: rep.status,
+			Err: fmt.Errorf("replica %s refused batch: status %d", peer, rep.status)}
 	}
 	r.breakerSuccess(peer)
 	r.replicates.Add(1)
 	return &ReplicateResult{
-		Status:    resp.StatusCode,
-		Duplicate: resp.Header.Get("X-Witch-Duplicate") != "",
+		Status:    rep.status,
+		Duplicate: rep.header.Get("X-Witch-Duplicate") != "",
 	}, nil
 }

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"encoding/json"
@@ -29,19 +28,11 @@ import (
 // verdict exists the batch is shed with 503 + Retry-After — the pusher
 // spools it and retries.
 func (s *Server) forwardIngest(ctx context.Context, w http.ResponseWriter, r *http.Request, id string, seq uint64, candidates []string) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bufPool.Put(buf)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
-		s.rejected.Add(1)
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, "ingest: %v", err)
+	buf, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
+	defer bufPool.Put(buf)
 	var lastErr error
 	for i, peer := range candidates {
 		if peer == s.cl.Self() {

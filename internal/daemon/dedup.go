@@ -216,8 +216,8 @@ func (d *Dedup) evictColdestLocked() {
 //
 // apply receives a commit callback and MUST invoke it exactly once on
 // its success path, from inside whatever exclusion barrier makes the
-// batch durable (witchd calls it while still holding the persistence
-// apply lock). commit is what marks the key seen; deferring the mark to
+// batch durable (serveBatch calls it while still holding the read side
+// of the apply barrier). commit is what marks the key seen; deferring the mark to
 // after apply returned would let a snapshot cut the journal between the
 // durable batch and its mark, and a crash would then re-merge the
 // retry. An apply that errors must not call commit.
@@ -326,12 +326,11 @@ func (d *Dedup) WindowOf(id string) (max uint64, bits []uint64) {
 // the dedup half of anti-entropy adoption, paired with the store's
 // ReplacePartition so the data and the judgment that guards it move
 // together. Adopt locks the pusher's window FIRST and only then runs
-// barrier — the caller's apply-exclusion section (persistence.Quiesce,
-// or the memory-only equivalent) — handing it an install func that
-// must be invoked exactly once, inside the barrier, alongside the
-// partition swap. The order is load-bearing: ingest holds this same
-// window lock across its journal apply (Process → applyBatch →
-// applyMu.RLock), so adoption must also take w.mu before the apply
+// barrier — the caller's apply-exclusion section (the write side of
+// Server.applyMu) — handing it an install func that must be invoked
+// exactly once, inside the barrier, alongside the partition swap. The
+// order is load-bearing: serveBatch holds this same window lock across
+// its whole apply (Process → fanout → applyMu.RLock), so adoption must also take w.mu before the apply
 // barrier — taking the barrier first deadlocks permanently against an
 // in-flight batch for the same pusher, with the apply write lock held
 // and every other ingest wedged behind it.
@@ -384,8 +383,8 @@ type pusherImage struct {
 
 // State serializes the dedup windows for the store snapshot's extra
 // blob. Per-pusher locks are not taken: every window WRITE happens
-// inside the persistence apply barrier (Process's commit callback runs
-// under the apply read-lock), and State is only called with the apply
+// inside the apply barrier (Process's commit callback runs under its
+// read side), and State is only called with the apply
 // write-lock held — so the windows are frozen for the duration, and
 // concurrent pre-apply duplicate checks are read-only.
 func (d *Dedup) State() ([]byte, error) {

@@ -47,33 +47,23 @@ func decodeHint(payload []byte) (ts time.Time, id string, seq uint64, ctype stri
 	}
 	ts = time.Unix(0, int64(binary.BigEndian.Uint64(payload)))
 	rest := payload[8:]
-	idLen, n := binary.Uvarint(rest)
+	idLen, n := uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < idLen {
 		return ts, "", 0, "", nil, false
 	}
 	id = string(rest[n : n+int(idLen)])
 	rest = rest[n+int(idLen):]
-	seq, n = binary.Uvarint(rest)
+	seq, n = uvarint(rest)
 	if n <= 0 {
 		return ts, "", 0, "", nil, false
 	}
 	rest = rest[n:]
-	ctLen, n := binary.Uvarint(rest)
+	ctLen, n := uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < ctLen {
 		return ts, "", 0, "", nil, false
 	}
 	ctype = string(rest[n : n+int(ctLen)])
 	return ts, id, seq, ctype, rest[n+int(ctLen):], true
-}
-
-// memHint is one queued hint in memory-only mode (no data dir: the
-// daemon itself is volatile, so volatile hints lower nothing).
-type memHint struct {
-	ts    time.Time
-	id    string
-	seq   uint64
-	ctype string
-	body  []byte
 }
 
 // hintPeer is one destination peer's hint queue. mu serializes appends
@@ -84,9 +74,13 @@ type hintPeer struct {
 	j     *wal.Journal // nil in memory mode
 	dir   string
 	acked uint64 // highest LSN confirmed replicated (disk mode)
-	mem   []memHint
-	// pending/bytes/perID mirror the journal suffix past acked so
-	// metrics and the repair guard never scan disk. Guarded by mu.
+	// mem queues encoded hint records, oldest first, in memory-only mode
+	// (no data dir: the daemon itself is volatile, so volatile hints
+	// lower nothing).
+	mem [][]byte
+	// pending/bytes/perID mirror the queued records (the journal suffix
+	// past acked) so metrics and the repair guard never scan disk; bytes
+	// counts encoded record lengths in both modes. Guarded by mu.
 	pending int
 	bytes   int64
 	perID   map[string]int
@@ -215,35 +209,40 @@ func (hs *hintStore) append(peer string, ts time.Time, id string, seq uint64, ct
 		hs.appendErrors.Add(1)
 		return err
 	}
+	rec := encodeHint(ts, id, seq, ctype, body)
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
 	if hp.j != nil {
-		if _, err := hp.j.Append(encodeHint(ts, id, seq, ctype, body)); err != nil {
+		if _, err := hp.j.Append(rec); err != nil {
 			hs.appendErrors.Add(1)
 			return err
 		}
-		hp.pending++
-		hp.bytes += int64(len(body)) + int64(len(id)) + int64(len(ctype)) + 16
-		hp.perID[id]++
-		hs.queued.Add(1)
+	} else {
+		hp.mem = append(hp.mem, rec)
+	}
+	hp.pending++
+	hp.bytes += int64(len(rec))
+	hp.perID[id]++
+	hs.queued.Add(1)
+	if hp.j != nil {
 		hs.enforceBoundLocked(hp, peer)
 		return nil
 	}
-	hp.mem = append(hp.mem, memHint{ts: ts, id: id, seq: seq, ctype: ctype,
-		body: append([]byte(nil), body...)})
-	hp.pending++
-	hp.bytes += int64(len(body))
-	hp.perID[id]++
-	hs.queued.Add(1)
 	for hs.maxBytes > 0 && hp.bytes > hs.maxBytes && len(hp.mem) > 0 {
-		old := hp.mem[0]
-		hp.mem = hp.mem[1:]
-		hp.pending--
-		hp.bytes -= int64(len(old.body))
-		hp.perID[old.id]--
+		hp.popLocked()
 		hs.dropped.Add(1)
 	}
 	return nil
+}
+
+// popLocked dequeues the oldest memory-mode record and takes it off the
+// counters. Caller holds hp.mu.
+func (hp *hintPeer) popLocked() {
+	_, id, _, _, _, _ := decodeHint(hp.mem[0])
+	hp.pending--
+	hp.bytes -= int64(len(hp.mem[0]))
+	hp.perID[id]--
+	hp.mem = hp.mem[1:]
 }
 
 // enforceBoundLocked evicts oldest hint segments past the byte bound.
@@ -346,15 +345,12 @@ func (hs *hintStore) drain(ctx context.Context, peer string, send func(ts time.T
 	defer hp.mu.Unlock()
 	if hp.j == nil {
 		for len(hp.mem) > 0 {
-			h := hp.mem[0]
-			err := send(h.ts, h.id, h.seq, h.ctype, h.body)
+			ts, id, seq, ctype, body, _ := decodeHint(hp.mem[0])
+			err := send(ts, id, seq, ctype, body)
 			if err != nil && !errors.Is(err, errHintRejected) {
 				return
 			}
-			hp.mem = hp.mem[1:]
-			hp.pending--
-			hp.bytes -= int64(len(h.body))
-			hp.perID[h.id]--
+			hp.popLocked()
 			if err != nil {
 				hs.rejected.Add(1)
 			} else {

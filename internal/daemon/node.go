@@ -63,7 +63,7 @@ func OpenNode(cfg NodeConfig) (_ *Node, err error) {
 		if ob != nil {
 			jopts.ObserveCommit = func(wait time.Duration) { ob.Stage(obs.StageJournal, wait) }
 		}
-		if s.pers, err = openPersistence(cfg.DataDir, st, s.ded, jopts, cfg.SnapshotEvery); err != nil {
+		if s.pers, err = openPersistence(cfg.DataDir, st, s.ded, &s.applyMu, jopts, cfg.SnapshotEvery); err != nil {
 			return nil, fmt.Errorf("recovery: %w", err)
 		}
 		defer func() {

@@ -25,18 +25,19 @@ import (
 // valid snapshot, replay the journal suffix past its anchor, truncate
 // any torn tail.
 //
-// Consistency contract: applies take the read side of applyMu (many in
-// flight), snapshots take the write side — so a snapshot's journal
+// Consistency contract: applies hold the read side of the server's
+// apply barrier (many in flight) from journal append through merge and
+// dedup mark, snapshots take the write side — so a snapshot's journal
 // anchor (LastLSN at that instant) covers exactly the batches whose
 // store ingest has completed, and replay-from-anchor is exactly-once.
 type persistence struct {
 	dir       string
 	journal   *wal.Journal
 	st        *store.Store
-	ded       *Dedup // may be nil; rides the snapshot's extra blob
-	snapEvery uint64 // acknowledged batches between snapshots; 0 = shutdown only
+	ded       *Dedup        // may be nil; rides the snapshot's extra blob
+	barrier   *sync.RWMutex // the server's apply barrier (Server.applyMu)
+	snapEvery uint64        // acknowledged batches between snapshots; 0 = shutdown only
 
-	applyMu sync.RWMutex
 	batches atomic.Uint64
 
 	journalErrors atomic.Uint64
@@ -86,6 +87,18 @@ func appendEnvelope(now time.Time, id string, seq uint64, keyed bool, body []byt
 	return append(env, body...)
 }
 
+// uvarint reads a minimal-length uvarint, the only form
+// binary.AppendUvarint writes, so a record the journal and hint
+// decoders accept re-encodes to its own bytes. n <= 0 reports a
+// truncated, overflowing or zero-padded one.
+func uvarint(b []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
+
 // splitEnvelope decodes a journal envelope into its timestamp, optional
 // idempotency key, and body. An envelope too mangled to split reports
 // ok=false (the caller counts it skipped).
@@ -99,13 +112,13 @@ func splitEnvelope(payload []byte) (ts time.Time, id string, seq uint64, keyed b
 		return ts, "", 0, false, rest, true
 	}
 	rest = rest[1:]
-	idLen, n := binary.Uvarint(rest)
+	idLen, n := uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < idLen {
 		return ts, "", 0, false, nil, false
 	}
 	id = string(rest[n : n+int(idLen)])
 	rest = rest[n+int(idLen):]
-	seq, n = binary.Uvarint(rest)
+	seq, n = uvarint(rest)
 	if n <= 0 {
 		return ts, "", 0, false, nil, false
 	}
@@ -148,11 +161,11 @@ func listSnapshots(dir string) []uint64 {
 // If ded is non-nil, its windows are restored from the snapshot's
 // extra blob and re-marked from replayed keyed envelopes, so dedup
 // survives kill-restart exactly as far as the acknowledged data does.
-func openPersistence(dir string, st *store.Store, ded *Dedup, walOpts wal.Options, snapEvery uint64) (*persistence, error) {
+func openPersistence(dir string, st *store.Store, ded *Dedup, barrier *sync.RWMutex, walOpts wal.Options, snapEvery uint64) (*persistence, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("data dir: %w", err)
 	}
-	p := &persistence{dir: dir, st: st, ded: ded, snapEvery: snapEvery}
+	p := &persistence{dir: dir, st: st, ded: ded, barrier: barrier, snapEvery: snapEvery}
 
 	// Newest loadable snapshot wins; corrupt ones are skipped, not fatal.
 	// Even a snapshot too corrupt to load still floors LSN assignment:
@@ -249,33 +262,32 @@ func openPersistence(dir string, st *store.Store, ded *Dedup, walOpts wal.Option
 	return p, nil
 }
 
-// applyBatch is the write path: the envelope (arrival time, optional
-// idempotency key, raw validated body) is journaled before the store
-// ingest runs and before the caller may acknowledge. An error means the
-// batch is NOT durable and must not be acknowledged — the caller sheds
-// it with a 5xx and the pusher's breaker backs off. The batch arrives
-// pre-decoded (as the ingest closure) so a decode error can never
-// strike between journal append and store ingest. Journaling the key
+// append journals one batch's envelope (arrival time, optional
+// idempotency key, raw validated body) — the durable half of
+// serveBatch's journal-before-merge. The caller holds the apply
+// barrier's read side and merges only on success; an error means the
+// batch is NOT durable and must not be acknowledged. Journaling the key
 // with the batch is what makes dedup crash-safe: replay re-marks
-// exactly the keys whose data it re-merges.
-//
-// commit runs after the batch is journaled and merged, still inside the
-// apply read-lock — it is where Dedup.Process marks the idempotency key
-// seen, so a snapshot (which takes the write lock) can never observe
-// the batch without its mark.
-func (p *persistence) applyBatch(id string, seq uint64, keyed bool, body []byte, ingest func(time.Time), now time.Time, commit func()) error {
-	env := appendEnvelope(now, id, seq, keyed, body)
-
-	p.applyMu.RLock()
-	if _, err := p.journal.Append(env); err != nil {
-		p.applyMu.RUnlock()
+// exactly the keys whose data it re-merges. A nil persistence (a
+// memory-only node) journals nothing.
+func (p *persistence) append(now time.Time, id string, seq uint64, keyed bool, body []byte) error {
+	if p == nil {
+		return nil
+	}
+	if _, err := p.journal.Append(appendEnvelope(now, id, seq, keyed, body)); err != nil {
 		p.journalErrors.Add(1)
 		return err
 	}
-	ingest(now)
-	commit()
-	p.applyMu.RUnlock()
+	return nil
+}
 
+// applied counts one durably applied batch and takes the periodic
+// snapshot when one is due. The caller has released the apply barrier
+// (the snapshot takes its write side). A nil persistence does nothing.
+func (p *persistence) applied() {
+	if p == nil {
+		return
+	}
 	if n := p.batches.Add(1); p.snapEvery > 0 && n%p.snapEvery == 0 {
 		if err := p.snapshot(); err != nil {
 			p.snapErrors.Add(1)
@@ -283,15 +295,14 @@ func (p *persistence) applyBatch(id string, seq uint64, keyed bool, body []byte,
 				"err", err.Error())
 		}
 	}
-	return nil
 }
 
 // snapshot checkpoints the store, anchors it at the journal position,
 // and garbage-collects the journal prefix plus older snapshots. Applies
 // are excluded for the duration, which is what makes the anchor exact.
 func (p *persistence) snapshot() error {
-	p.applyMu.Lock()
-	defer p.applyMu.Unlock()
+	p.barrier.Lock()
+	defer p.barrier.Unlock()
 
 	lsn := p.journal.LastLSN()
 	// With applies excluded, the dedup image is consistent with the
@@ -348,15 +359,6 @@ func (p *persistence) snapshot() error {
 		}
 	}
 	return nil
-}
-
-// Quiesce runs fn with the apply barrier held exclusively: no batch is
-// mid-journal or mid-merge while fn runs. Anti-entropy adoption runs
-// under it so a partition replace and its dedup adopt are one cut.
-func (p *persistence) Quiesce(fn func()) {
-	p.applyMu.Lock()
-	defer p.applyMu.Unlock()
-	fn()
 }
 
 // Checkpoint forces a snapshot now — after a repair round adopted

@@ -75,11 +75,10 @@ type ReplicationStats struct {
 
 // startReplication boots the engine with its hint journals under
 // hintDir ("" = in-memory hints, matching a memory-only daemon's
-// volatility). OpenNode calls it after the cluster router is set and
-// before the node serves: the ingest path reads s.repl without a lock,
-// so the handoff must happen before requests can race it. With RF > 1
-// the engine is mandatory — coordinators shed keyed batches until it
-// runs.
+// volatility). OpenNode calls it right after the cluster router is set
+// and before the node serves: the ingest path reads s.repl without a
+// lock, so the handoff must happen before requests can race it, and
+// every clustered node has an engine by the time it serves.
 func (s *Server) startReplication(cfg ReplicationConfig, hintDir string, hintOpts wal.Options) error {
 	if cfg.HintMaxBytes == 0 {
 		cfg.HintMaxBytes = 64 << 20
@@ -228,12 +227,12 @@ func (r *replication) fanout(ctx context.Context, id string, seq uint64, ctype s
 	return nil
 }
 
-// handleReplicate applies one keyed batch on behalf of its coordinator.
-// The batch runs through the same gates as first-hand ingest — dedup
-// window, journal-before-ack — at the coordinator's ingest timestamp,
-// so both replicas bucket it identically. It never re-fanouts (the
-// coordinator owns RF), and a duplicate re-acks 200: hint replays and
-// coordinator retries must converge, not error.
+// handleReplicate applies one keyed batch on behalf of its coordinator,
+// through serveBatch like first-hand ingest — dedup window,
+// journal-before-ack — at the coordinator's ingest timestamp, so both
+// replicas bucket it identically. It never re-fanouts (the coordinator
+// owns RF), and a duplicate re-acks 200: hint replays and coordinator
+// retries must converge, not error.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -246,121 +245,39 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.ringRejected(w, r) {
 		return
 	}
-	switch s.state.Load() {
-	case StateServing:
-	case StateDraining:
-		s.shedRequest(w, http.StatusServiceUnavailable, 5, "draining: witchd is shutting down")
-		return
-	default:
-		s.shedRequest(w, http.StatusServiceUnavailable, 1, "recovering: not yet serving")
-		return
-	}
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shedRequest(w, http.StatusTooManyRequests, 1, "overloaded: %d ingests in flight", cap(s.sem))
-		return
-	}
-	id := r.Header.Get(witch.PusherIDHeader)
-	rawSeq := r.Header.Get(witch.PusherSeqHeader)
-	seq, perr := strconv.ParseUint(rawSeq, 10, 64)
-	if id == "" || rawSeq == "" || perr != nil {
-		s.rejected.Add(1)
-		httpError(w, http.StatusBadRequest, "replicate: pusher id and sequence headers are required")
-		return
-	}
-	if s.pers != nil {
-		if s.pers.journal.Failed() {
-			s.shedRequest(w, http.StatusServiceUnavailable, 10, "journal failed, restart required")
-			return
+	s.serveBatch(w, r, func() (b batch, ok bool) {
+		seq, err := strconv.ParseUint(r.Header.Get(witch.PusherSeqHeader), 10, 64)
+		b.id, b.seq, b.keyed = r.Header.Get(witch.PusherIDHeader), seq, true
+		if b.id == "" || err != nil {
+			s.rejected.Add(1)
+			httpError(w, http.StatusBadRequest, "replicate: pusher id and sequence headers are required")
+			return b, false
 		}
-		if s.cfg.MaxBacklog > 0 && s.pers.journal.UnsyncedBytes() > s.cfg.MaxBacklog {
-			s.shedRequest(w, http.StatusTooManyRequests, 1, "journal backlog over watermark, retry shortly")
-			return
+		// The coordinator's clock, not ours: replicas must agree on which
+		// retention bucket a batch lands in, or their digests would differ
+		// forever at bucket boundaries.
+		if ns, err := strconv.ParseInt(r.Header.Get(cluster.TimestampHeader), 10, 64); err == nil {
+			b.at = time.Unix(0, ns)
 		}
-	}
-	// The coordinator's clock, not ours: replicas must agree on which
-	// retention bucket a batch lands in, or their digests would differ
-	// forever at bucket boundaries.
-	ts := s.cfg.Now()
-	if raw := r.Header.Get(cluster.TimestampHeader); raw != "" {
-		if ns, err := strconv.ParseInt(raw, 10, 64); err == nil {
-			ts = time.Unix(0, ns)
+		// The replica's span joins the coordinator's trace (the
+		// replicate_leg span on the other side is its parent). No header,
+		// no span: hint drains and repair-era coordinators would otherwise
+		// mint orphan traces per replayed batch.
+		if th := r.Header.Get(obs.TraceHeader); th != "" {
+			b.sp = s.cfg.Obs.StartSpan(th, "replicate_apply")
+			b.sp.Annotate(b.id, b.seq)
 		}
-	}
-
-	// The replica's span joins the coordinator's trace (the replicate_leg
-	// span on the other side is its parent). No header, no span: hint
-	// drains and repair-era coordinators would otherwise mint orphan
-	// traces per replayed batch.
-	o := s.cfg.Obs
-	var sp obs.ActiveSpan
-	if th := r.Header.Get(obs.TraceHeader); th != "" {
-		sp = o.StartSpan(th, "replicate_apply")
-		sp.Annotate(id, seq)
-	}
-
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bufPool.Put(buf)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
-		s.rejected.Add(1)
-		httpError(w, http.StatusBadRequest, "replicate: %v", err)
-		return
-	}
-	body := buf.Bytes()
-	dec := decoders.Get().(*witch.BatchDecoder)
-	defer decoders.Put(dec)
-	dt0 := o.Start()
-	profs, err := dec.Decode(body)
-	o.StageSince(obs.StageDecode, dt0)
-	if err != nil {
-		s.rejected.Add(1)
-		httpError(w, http.StatusBadRequest, "replicate: %v", err)
-		return
-	}
-	ingest := func(now time.Time) {
-		mt0 := o.Start()
-		for _, p := range profs {
-			s.st.IngestKeyedAt(id, p, now)
-		}
-		o.StageSince(obs.StageMerge, mt0)
-	}
-	apply := func(commit func()) error {
-		if s.pers != nil {
-			jsp := o.StartChild(sp.Context(), "journal_commit")
-			aerr := s.pers.applyBatch(id, seq, true, body, ingest, ts, commit)
-			if aerr != nil {
-				jsp.Fail(aerr.Error())
-			}
-			jsp.End()
-			return aerr
-		}
-		s.memMu.RLock()
-		defer s.memMu.RUnlock()
-		ingest(ts)
-		commit()
-		return nil
-	}
-	dup, stale, err := s.ded.Process(id, seq, apply)
-	if err != nil {
-		sp.Fail(err.Error())
-		sp.End()
-		s.shedRequest(w, http.StatusServiceUnavailable, 10, "durable apply failed, batch not accepted: %v", err)
-		return
-	}
-	if dup {
-		if stale {
-			w.Header().Set("X-Witch-Duplicate", "stale")
+		return b, true
+	}, func(b *batch, profs []*witch.Profile, _ *bytes.Buffer, err error) {
+		if err != nil {
+			b.sp.Fail(err.Error())
 		} else {
-			w.Header().Set("X-Witch-Duplicate", "window")
+			s.replicatedIn.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, "{\"replicated\":%d}\n", len(profs))
 		}
-	}
-	s.replicatedIn.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"replicated\":%d}\n", len(profs))
-	sp.End()
+		b.sp.End()
+	})
 }
 
 // drainLoop replays queued hints to healed peers.
@@ -512,20 +429,20 @@ func (r *replication) repairRound(ctx context.Context) {
 }
 
 // adoptPartition installs a pulled partition — store image and dedup
-// window together, inside the apply barrier so no ingest interleaves
-// with the swap. Lock order is the critical part: Dedup.Adopt takes
-// the pusher's window lock FIRST and only then runs the barrier
-// (applyBarrier → Quiesce → applyMu.Lock, or memMu.Lock when
-// memory-only). Ingest orders the same two locks the same way
-// (Process holds w.mu across applyBatch's applyMu.RLock), so an
-// adoption racing an in-flight batch for the same pusher serializes
-// cleanly instead of deadlocking with the apply write lock held.
+// window together, under the write side of the apply barrier so no
+// batch apply interleaves with the swap, on memory-only and persistent
+// nodes alike. Lock order is the critical part: Dedup.Adopt takes the
+// pusher's window lock FIRST and only then the barrier. serveBatch
+// orders the same two locks the same way (Process holds w.mu across
+// the apply's applyMu.RLock), so an adoption racing an in-flight batch
+// for the same pusher serializes cleanly instead of deadlocking with
+// the apply write lock held.
 func (s *Server) adoptPartition(id string, pt *cluster.PartitionTransfer) {
 	s.ded.Adopt(id, pt.DedupMax, pt.DedupBits, func(install func()) {
-		s.applyBarrier(func() {
-			s.st.ReplacePartition(id, pt.Image)
-			install()
-		})
+		s.applyMu.Lock()
+		defer s.applyMu.Unlock()
+		s.st.ReplacePartition(id, pt.Image)
+		install()
 	})
 }
 

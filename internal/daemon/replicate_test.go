@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/store"
+	"repro/witch"
 )
 
 // fakeClock is a shared, manually-advanced clock so breaker cooldowns
@@ -533,44 +535,86 @@ func TestRepairPrefersFullerCopyAtEqualMax(t *testing.T) {
 	}
 }
 
-// TestAdoptIngestAvoidsDeadlock is the ABBA regression for repair
-// adoption vs ingest on a persistent node. Ingest holds the pusher's
-// dedup window lock across its whole apply — including the (slow)
-// replication fanout — before taking the journal's apply read lock;
-// adoption must therefore take the window lock BEFORE the apply write
-// lock. The old order (Quiesce first, window lock inside) deadlocked
-// permanently against any in-flight batch for the same pusher, with
-// the apply write lock held and every other ingest wedged behind it.
-func TestAdoptIngestAvoidsDeadlock(t *testing.T) {
-	clock := newFakeClock()
-	node, err := OpenNode(NodeConfig{Server: Config{Now: clock.Now}, DataDir: t.TempDir()})
+// stalledApply is a node whose keyed batches stall mid-apply: it
+// coordinates in a two-peer RF=2 ring whose other member is a fake
+// follower that holds every /v1/replicate leg until unblock is called.
+// A batch posted through the node's handler is then inside serveBatch
+// — past the dedup check, holding its pusher's window lock, in the
+// fanout that precedes the journal commit — for as long as a test
+// wants, exactly where a slow replica leaves it in production.
+type stalledApply struct {
+	srv     *Server
+	h       http.Handler
+	started chan struct{} // closed when the first replicate leg arrives
+	unblock func()
+}
+
+func newStalledApply(t *testing.T, cfg NodeConfig) *stalledApply {
+	t.Helper()
+	sa := &stalledApply{started: make(chan struct{})}
+	release := make(chan struct{})
+	var startOnce, releaseOnce sync.Once
+	sa.unblock = func() { releaseOnce.Do(func() { close(release) }) }
+	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replicate" {
+			startOnce.Do(func() { close(sa.started) })
+			<-release
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(follower.Close)
+	t.Cleanup(sa.unblock) // before follower.Close, which waits for the held leg
+	const self = "http://stalled.test"
+	cfg.Cluster = &cluster.Config{Self: self, Peers: []string{self, follower.URL}, ReplicationFactor: 2}
+	cfg.Replication = ReplicationConfig{DrainInterval: time.Hour, RepairInterval: -1}
+	node, err := OpenNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Kill)
-	srv := node.Server()
-	st, pers := srv.st, srv.pers
+	sa.srv, sa.h = node.Server(), node.Handler()
+	return sa
+}
 
+// post sends one keyed batch through the node's handler in the
+// background; the channel yields its status code.
+func (sa *stalledApply) post(body []byte, id string, seq uint64) <-chan int {
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(witch.PusherIDHeader, id)
+	req.Header.Set(witch.PusherSeqHeader, fmt.Sprint(seq))
+	code := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		sa.h.ServeHTTP(rec, req)
+		code <- rec.Code
+	}()
+	return code
+}
+
+// TestAdoptIngestAvoidsDeadlock is the ABBA regression for repair
+// adoption vs ingest on a persistent node. Ingest holds the pusher's
+// dedup window lock across its whole apply — including the (slow)
+// replication fanout — before taking the apply barrier's read side;
+// adoption must therefore take the window lock BEFORE the barrier's
+// write side. The old order (barrier first, window lock inside)
+// deadlocked permanently against any in-flight batch for the same
+// pusher, with the apply write lock held and every other ingest wedged
+// behind it.
+func TestAdoptIngestAvoidsDeadlock(t *testing.T) {
+	clock := newFakeClock()
+	sa := newStalledApply(t, NodeConfig{Server: Config{Now: clock.Now}, DataDir: t.TempDir()})
+	srv := sa.srv
 	prof := testProfile(t, 31)
-	const id = "deadlock-pusher"
+	var body bytes.Buffer
+	prof.WriteJSON(&body)
+	id := ownedID(t, sa.srv, "deadlock-pusher")
 	donor := store.New(store.Config{})
 	donor.IngestKeyedAt(id, prof, clock.Now())
 	pt := &cluster.PartitionTransfer{Image: donor.PartitionImage(id), DedupMax: 5}
 
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	ingDone := make(chan error, 1)
-	go func() {
-		_, _, perr := srv.ded.Process(id, 1, func(commit func()) error {
-			close(started) // window lock held from here on
-			<-unblock      // the in-flight stretch: the fanout RPC in production
-			return pers.applyBatch(id, 1, true, []byte("batch"), func(now time.Time) {
-				st.IngestKeyedAt(id, prof, now)
-			}, clock.Now(), commit)
-		})
-		ingDone <- perr
-	}()
-	<-started
+	ingDone := sa.post(body.Bytes(), id, 1)
+	<-sa.started // window lock held from here on
 
 	adoptDone := make(chan struct{})
 	go func() {
@@ -581,13 +625,13 @@ func TestAdoptIngestAvoidsDeadlock(t *testing.T) {
 	// the in-flight batch. Under the broken lock order neither goroutine
 	// can ever finish.
 	time.Sleep(50 * time.Millisecond)
-	close(unblock)
+	sa.unblock()
 
 	timeout := time.After(10 * time.Second)
 	select {
-	case perr := <-ingDone:
-		if perr != nil {
-			t.Fatalf("in-flight ingest failed: %v", perr)
+	case code := <-ingDone:
+		if code != http.StatusOK {
+			t.Fatalf("in-flight ingest: HTTP %d", code)
 		}
 	case <-timeout:
 		t.Fatal("ingest wedged against adoption: ABBA deadlock")
@@ -602,42 +646,31 @@ func TestAdoptIngestAvoidsDeadlock(t *testing.T) {
 	}
 }
 
-// TestMemoryAdoptBarrier: a memory-only node (no persistence, so no
-// Quiesce) must still exclude an in-flight batch from a partition
-// swap — the old code called ReplacePartition unguarded, so a
-// concurrent ingest could merge into the aggregator just as it was
-// deleted, losing an acked batch while its dedup mark survived.
+// TestMemoryAdoptBarrier: a memory-only node (no journal) must still
+// exclude an in-flight batch from a partition swap — the old code
+// called ReplacePartition unguarded, so a concurrent ingest could merge
+// into the aggregator just as it was deleted, losing an acked batch
+// while its dedup mark survived. The batch runs through serveBatch,
+// and so does a second one for another pusher while the test holds the
+// barrier's write side the way adoption does: a memory-only apply that
+// skipped the barrier would land under it.
 func TestMemoryAdoptBarrier(t *testing.T) {
 	clock := newFakeClock()
-	st := store.New(store.Config{})
-	srv := newServer(st, Config{Now: clock.Now})
-	srv.setState(StateServing)
+	sa := newStalledApply(t, NodeConfig{Server: Config{Now: clock.Now}})
+	srv := sa.srv
 
 	prof := testProfile(t, 32)
-	const id = "mem-adopt-pusher"
+	var body bytes.Buffer
+	prof.WriteJSON(&body)
+	id := ownedID(t, sa.srv, "mem-adopt-pusher")
 	donor := store.New(store.Config{})
 	donor.IngestKeyedAt(id, prof, clock.Now())
 	donorSrv := newServer(donor, Config{Now: clock.Now})
 	wantSum := donorSrv.partitionSum(id)
 	pt := &cluster.PartitionTransfer{Image: donor.PartitionImage(id), DedupMax: 5}
 
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	ingDone := make(chan error, 1)
-	go func() {
-		_, _, perr := srv.ded.Process(id, 1, func(commit func()) error {
-			close(started)
-			<-unblock
-			// The memory-only apply path, as handleIngest runs it.
-			srv.memMu.RLock()
-			defer srv.memMu.RUnlock()
-			st.IngestKeyedAt(id, prof, clock.Now())
-			commit()
-			return nil
-		})
-		ingDone <- perr
-	}()
-	<-started
+	ingDone := sa.post(body.Bytes(), id, 1)
+	<-sa.started
 
 	adoptDone := make(chan struct{})
 	go func() {
@@ -649,9 +682,9 @@ func TestMemoryAdoptBarrier(t *testing.T) {
 		t.Fatal("adoption completed while a batch for the same pusher was mid-apply")
 	case <-time.After(50 * time.Millisecond):
 	}
-	close(unblock)
-	if perr := <-ingDone; perr != nil {
-		t.Fatalf("in-flight ingest failed: %v", perr)
+	sa.unblock()
+	if code := <-ingDone; code != http.StatusOK {
+		t.Fatalf("in-flight ingest: HTTP %d", code)
 	}
 	select {
 	case <-adoptDone:
@@ -665,6 +698,25 @@ func TestMemoryAdoptBarrier(t *testing.T) {
 	}
 	if max, _ := srv.ded.WindowOf(id); max != 5 {
 		t.Fatalf("adopted dedup window max %d, want 5", max)
+	}
+
+	other := ownedID(t, sa.srv, "mem-barrier-pusher")
+	before := srv.st.Stats().Ingested
+	srv.applyMu.Lock()
+	held := sa.post(body.Bytes(), other, 1)
+	select {
+	case code := <-held:
+		srv.applyMu.Unlock()
+		t.Fatalf("memory-only apply finished (HTTP %d) under the barrier's write side", code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	merged := srv.st.Stats().Ingested != before
+	srv.applyMu.Unlock()
+	if merged {
+		t.Fatal("memory-only apply merged under the barrier's write side")
+	}
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("apply after the barrier lifted: HTTP %d", code)
 	}
 }
 

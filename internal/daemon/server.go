@@ -8,6 +8,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -99,11 +100,12 @@ type Server struct {
 	state atomic.Int32
 	sem   chan struct{}
 
-	// memMu is the memory-only apply barrier: what persistence.applyMu
-	// is for a persistent node. Ingest applies under RLock; partition
-	// adoption excludes them under Lock (via applyBarrier). Unused when
-	// pers != nil — the journal's barrier covers those nodes.
-	memMu sync.RWMutex
+	// applyMu is the apply barrier, the same on memory-only and
+	// persistent nodes. Every batch apply holds the read side from
+	// journal append through merge and dedup mark (serveBatch);
+	// snapshots and partition adoption take the write side, so each sees
+	// a batch whole or not at all.
+	applyMu sync.RWMutex
 
 	batches        atomic.Uint64 // ingest requests accepted locally
 	rejected       atomic.Uint64 // ingest requests rejected (bad input)
@@ -152,21 +154,6 @@ func (s *Server) DedupStats() DedupStats { return s.ded.Stats() }
 // StoreStats snapshots the retention store's counters.
 func (s *Server) StoreStats() store.Stats { return s.st.Stats() }
 
-// applyBarrier runs fn with every batch apply excluded — Quiesce when
-// a journal is attached, the server's own memMu otherwise, so
-// memory-only nodes honor the same swap-vs-ingest exclusion contract
-// as persistent ones. Callers must already hold the affected pusher's
-// dedup window lock (see Dedup.Adopt) or no lock ordering is defined.
-func (s *Server) applyBarrier(fn func()) {
-	if s.pers != nil {
-		s.pers.Quiesce(fn)
-		return
-	}
-	s.memMu.Lock()
-	defer s.memMu.Unlock()
-	fn()
-}
-
 // setState moves the lifecycle forward.
 func (s *Server) setState(st int32) { s.state.Store(st) }
 
@@ -175,8 +162,9 @@ func (s *Server) Cluster() *cluster.Router { return s.cl }
 
 // Handler routes the API:
 //
-//	POST /v1/ingest    WriteJSON payloads (single, batched, or binary)
-//	POST /v1/replicate one keyed batch from a replica coordinator (journal-before-ack, no re-fanout)
+//	POST /v1/ingest    WriteJSON payloads (single, batched, or binary), routed to the pusher's replica set
+//	POST /v1/replicate one keyed batch from a replica coordinator, at its timestamp, no re-fanout
+//	                   (both apply through serveBatch: the same gates, journal-before-ack and dedup)
 //	GET  /v1/top       ranked merged pairs (tool, window, program, n) — fleet-wide with a cluster
 //	GET  /v1/profile   full merged profile in the WriteJSON schema — fleet-wide with a cluster
 //	POST /v1/shard     this node's window export as a delta against the caller's version vector (gob), the scatter unit
@@ -271,6 +259,159 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	// Observability is witness-only: reqStart and the span feed
+	// histograms and the span ring, never a verdict. With cfg.Obs nil
+	// every call below is an inlineable nil-check no-op.
+	o := s.cfg.Obs
+	var reqStart time.Time
+	finish := func(b *batch) {
+		if o == nil {
+			return
+		}
+		d := time.Since(reqStart)
+		o.Stage(obs.StageIngest, d)
+		b.sp.End()
+		o.CaptureSlow("ingest", b.sp.Context(), b.id, b.seq, "", reqStart, d)
+	}
+	s.serveBatch(w, r, func() (b batch, ok bool) {
+		// Idempotency key: pushers stamp every batch with their durable
+		// identity and a never-reused sequence. The key is also the
+		// routing key — in a cluster, rendezvous hashing on the pusher
+		// identity gives every batch exactly one owner, whose dedup window
+		// is the only one that ever judges this pusher's sequences.
+		if b.id = r.Header.Get(witch.PusherIDHeader); b.id != "" {
+			if v, err := strconv.ParseUint(r.Header.Get(witch.PusherSeqHeader), 10, 64); err == nil {
+				b.seq, b.keyed = v, true
+			}
+		}
+		if s.ringRejected(w, r) {
+			return b, false
+		}
+		reqStart = o.Start()
+		b.sp = o.StartSpan(r.Header.Get(obs.TraceHeader), "ingest")
+		b.sp.Annotate(b.id, b.seq)
+		b.ctx = r.Context()
+		if b.sp.Active() {
+			b.ctx = obs.ContextWithSpan(b.ctx, b.sp.Context())
+		}
+
+		forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
+		if s.cl != nil && b.keyed {
+			set := s.cl.ReplicaSet(b.id)
+			selfIdx := -1
+			for i, p := range set {
+				if p == s.cl.Self() {
+					selfIdx = i
+				}
+			}
+			if !forwarded {
+				if selfIdx < 0 {
+					// Routing hop: relay the batch to a replica-set member and
+					// that member's verdict back, before any local journal gate
+					// — a node with a failed journal can still route to healthy
+					// owners. A batch that already hopped is processed here
+					// unconditionally (one hop only; skewed peer lists must not
+					// build loops).
+					s.forwardIngest(b.ctx, w, r, b.id, b.seq, set)
+					finish(&b)
+					return b, false
+				}
+				if selfIdx > 0 && s.cl.Available(set[0]) {
+					// A follower keeps routing to the owner while it looks
+					// reachable, so the owner's dedup window stays the one that
+					// judges fresh sequences; only when the owner's breaker is
+					// open does the follower coordinate (promoted follower).
+					s.forwardIngest(b.ctx, w, r, b.id, b.seq, set[:1])
+					finish(&b)
+					return b, false
+				}
+			}
+			// A replica-set member applies the batch authoritatively: it
+			// replicates to the other members (or hints for the
+			// unreachable ones) before its own journal commit.
+			b.coordinate = selfIdx >= 0
+		}
+		if forwarded {
+			s.forwardedIn.Add(1)
+		}
+		return b, true
+	}, func(b *batch, profs []*witch.Profile, buf *bytes.Buffer, err error) {
+		if err != nil {
+			b.sp.Fail(err.Error())
+			finish(b)
+			return
+		}
+		// The merge copied everything it keeps, so the body is done with:
+		// summarize the ack into its buffer. The ack JSON is written by
+		// hand — a reflective Encode over a map costs more than the whole
+		// binary decode for a small batch. Batches are almost always
+		// single-tool, so the counts live in a short slice, not a map.
+		type toolCount struct {
+			tool string
+			n    int
+		}
+		var counts []toolCount
+	countTools:
+		for _, p := range profs {
+			for i := range counts {
+				if counts[i].tool == p.Tool {
+					counts[i].n++
+					continue countTools
+				}
+			}
+			counts = append(counts, toolCount{p.Tool, 1})
+		}
+		s.batches.Add(1)
+		buf.Reset()
+		var tmp [20]byte
+		buf.WriteString(`{"accepted":`)
+		buf.Write(strconv.AppendInt(tmp[:0], int64(len(profs)), 10))
+		buf.WriteString(`,"by_tool":{`)
+		for i, tc := range counts {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			appendJSONString(buf, tc.tool)
+			buf.WriteByte(':')
+			buf.Write(strconv.AppendInt(tmp[:0], int64(tc.n), 10))
+		}
+		buf.WriteString("}}\n")
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(buf.Bytes())
+		finish(b)
+	})
+}
+
+// batch is one POST to /v1/ingest or /v1/replicate on its way through
+// serveBatch: its idempotency key and how this node applies it.
+type batch struct {
+	id    string
+	seq   uint64
+	keyed bool
+	// at is the apply clock: the coordinator's ingest time on a replica
+	// (both copies land in the same retention bucket), zero for
+	// s.cfg.Now() at apply.
+	at time.Time
+	// coordinate fans the batch out to the other replica-set members
+	// under ctx before the local commit.
+	coordinate bool
+	ctx        context.Context
+	sp         obs.ActiveSpan // the request's span; journal_commit nests under it
+}
+
+// serveBatch takes one batch from admission to ack; it is the only
+// apply path. In order: the lifecycle gate, the in-flight semaphore,
+// admit, the journal gates, the bounded body read and pooled decode,
+// then under the pusher's dedup window the coordinator fanout and
+// journal-before-merge. The endpoints differ only in their hooks. admit
+// runs once the request holds an in-flight slot, before any journal
+// gate: it parses the key (and routes a hop) and returns false when it
+// has answered the request itself. done sees the apply outcome; on
+// success it writes the 200 ack (profs and buf are valid only inside
+// done), on error serveBatch sheds the batch un-acked after it.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request,
+	admit func() (batch, bool),
+	done func(b *batch, profs []*witch.Profile, buf *bytes.Buffer, err error)) {
 	switch s.state.Load() {
 	case StateServing:
 	case StateDraining:
@@ -289,192 +430,97 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.shedRequest(w, http.StatusTooManyRequests, 1, "overloaded: %d ingests in flight", cap(s.sem))
 		return
 	}
-
-	// Idempotency key: pushers stamp every batch with their durable
-	// identity and a never-reused sequence. The key is also the routing
-	// key — in a cluster, rendezvous hashing on the pusher identity
-	// gives every batch exactly one owner, whose dedup window is the
-	// only one that ever judges this pusher's sequences.
-	id := r.Header.Get(witch.PusherIDHeader)
-	var seq uint64
-	keyed := false
-	if id != "" {
-		if rawSeq := r.Header.Get(witch.PusherSeqHeader); rawSeq != "" {
-			if v, perr := strconv.ParseUint(rawSeq, 10, 64); perr == nil {
-				seq, keyed = v, true
-			}
-		}
-	}
-	if s.ringRejected(w, r) {
+	b, ok := admit()
+	if !ok {
 		return
 	}
-
-	// Observability is witness-only from here down: reqStart/sp/ctx feed
-	// histograms and the span ring, never a verdict. With cfg.Obs nil
-	// every call below is an inlineable nil-check no-op and ctx stays
-	// the request's own.
-	o := s.cfg.Obs
-	reqStart := o.Start()
-	sp := o.StartSpan(r.Header.Get(obs.TraceHeader), "ingest")
-	sp.Annotate(id, seq)
-	ctx := r.Context()
-	if sp.Active() {
-		ctx = obs.ContextWithSpan(ctx, sp.Context())
-	}
-	finish := func() {
-		if o == nil {
-			return
-		}
-		d := time.Since(reqStart)
-		o.Stage(obs.StageIngest, d)
-		sp.End()
-		o.CaptureSlow("ingest", sp.Context(), id, seq, "", reqStart, d)
-	}
-
-	forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
-	// coordinate means this node is a replica-set member applying the
-	// batch authoritatively: it replicates to the other members (or
-	// hints for the unreachable ones) before its own journal commit.
-	coordinate := false
-	if s.cl != nil && keyed {
-		set := s.cl.ReplicaSet(id)
-		selfIdx := -1
-		for i, p := range set {
-			if p == s.cl.Self() {
-				selfIdx = i
-			}
-		}
-		if !forwarded {
-			if selfIdx < 0 {
-				// Routing hop: relay the batch to a replica-set member and
-				// that member's verdict back, before any local journal gate
-				// — a node with a failed journal can still route to healthy
-				// owners. A batch that already hopped is processed here
-				// unconditionally (one hop only; skewed peer lists must not
-				// build loops).
-				s.forwardIngest(ctx, w, r, id, seq, set)
-				finish()
-				return
-			}
-			if selfIdx > 0 && s.cl.Available(set[0]) {
-				// A follower keeps routing to the owner while it looks
-				// reachable, so the owner's dedup window stays the one that
-				// judges fresh sequences; only when the owner's breaker is
-				// open does the follower coordinate (promoted follower).
-				s.forwardIngest(ctx, w, r, id, seq, set[:1])
-				finish()
-				return
-			}
-		}
-		coordinate = selfIdx >= 0
-	}
-	if forwarded {
-		s.forwardedIn.Add(1)
-	}
-	if coordinate && s.cl.RF() > 1 && s.repl == nil {
-		// RF>1 promises a follower ack before ours; without the
-		// replication engine running that promise cannot be kept, and
-		// acking anyway would silently drop to RF=1 durability.
-		s.shedRequest(w, http.StatusServiceUnavailable, 5, "replication engine not running, batch not accepted")
-		return
-	}
-
-	if s.pers != nil {
-		if s.pers.journal.Failed() {
+	if p := s.pers; p != nil {
+		if p.journal.Failed() {
 			s.shedRequest(w, http.StatusServiceUnavailable, 10, "journal failed, restart required: ingest disabled to avoid un-durable acks")
 			return
 		}
-		if s.cfg.MaxBacklog > 0 && s.pers.journal.UnsyncedBytes() > s.cfg.MaxBacklog {
+		if s.cfg.MaxBacklog > 0 && p.journal.UnsyncedBytes() > s.cfg.MaxBacklog {
 			s.shedRequest(w, http.StatusTooManyRequests, 1, "journal backlog over watermark, retry shortly")
 			return
 		}
 	}
 
-	// Pooled body scratch: the journal frames its own copy and the
-	// decoder interns every string it keeps, so nothing outlives the
-	// request holding a reference into this buffer.
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bufPool.Put(buf)
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		s.rejected.Add(1)
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, "ingest: %v", err)
+	buf, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
+	defer bufPool.Put(buf)
 	body := buf.Bytes()
-
-	// The fast path: a pooled decoder parses the body — JSON or the
-	// binary wire format, sniffed by magic rather than trusted from the
-	// Content-Type header — reusing profile structs, pair slices, and
-	// interned strings across requests. Everything below up to the Put
-	// must finish with the batch before the decoder can be reused.
+	// A pooled decoder parses the body — JSON or the binary wire format,
+	// sniffed by magic rather than trusted from the Content-Type header
+	// — reusing profile structs, pair slices, and interned strings
+	// across requests, so it goes back only once done has finished with
+	// the batch.
+	o := s.cfg.Obs
 	dec := decoders.Get().(*witch.BatchDecoder)
+	defer decoders.Put(dec)
 	dt0 := o.Start()
 	profs, err := dec.Decode(body)
 	o.StageSince(obs.StageDecode, dt0)
 	if err != nil {
-		decoders.Put(dec)
 		s.rejected.Add(1)
 		httpError(w, http.StatusBadRequest, "ingest: %v", err)
 		return
 	}
 
-	// Per-tool routing happens inside the aggregate: every profile
-	// carries its tool, and merge keys are tool-scoped, so a batch may
-	// mix tools freely without cross-contamination.
-	ingest := func(now time.Time) {
-		mt0 := o.Start()
-		for _, p := range profs {
-			s.st.IngestKeyedAt(id, p, now)
-		}
-		o.StageSince(obs.StageMerge, mt0)
-	}
-	// Durability before acknowledgement: replicate to the other
-	// replica-set members (durable hint if one is down), then journal
-	// (and fsync, per policy) locally; any failure sheds the batch
-	// un-acked so the client retries against a fleet that can make it
-	// durable. Replication runs inside the dedup window lock and before
-	// the local commit: a batch is never marked seen while a copy
-	// exists on fewer than RF nodes (counting its hint record).
+	// Durability before acknowledgement: a coordinator replicates to the
+	// other replica-set members (durable hint if one is down), then the
+	// batch is journaled (and fsynced, per policy) before it merges; any
+	// failure sheds it un-acked so the client retries against a fleet
+	// that can make it durable. All of it runs inside the dedup window
+	// lock: a batch is never marked seen while a copy exists on fewer
+	// than RF nodes (counting its hint record).
 	apply := func(commit func()) error {
-		now := s.cfg.Now()
-		if coordinate && s.repl != nil {
-			if rerr := s.repl.fanout(ctx, id, seq, r.Header.Get("Content-Type"), body, now); rerr != nil {
-				return rerr
+		now := b.at
+		if now.IsZero() {
+			now = s.cfg.Now()
+		}
+		if b.coordinate {
+			if err := s.repl.fanout(b.ctx, b.id, b.seq, r.Header.Get("Content-Type"), body, now); err != nil {
+				return err
 			}
 		}
+		// The journal_commit span covers the whole durable apply: append
+		// + fsync/gang wait + merge + dedup mark. The pure journal-wait
+		// histogram comes from the wal seam (Options.ObserveCommit).
+		var jsp obs.ActiveSpan
 		if s.pers != nil {
-			// The child span covers the whole durable apply — journal
-			// append + fsync/gang wait + merge + dedup mark. The pure
-			// journal-wait histogram comes from the wal seam
-			// (Options.ObserveCommit), which sees only the commit wait.
-			jsp := o.StartChild(sp.Context(), "journal_commit")
-			aerr := s.pers.applyBatch(id, seq, keyed, body, ingest, now, commit)
-			if aerr != nil {
-				jsp.Fail(aerr.Error())
-			}
-			jsp.End()
-			return aerr
+			jsp = o.StartChild(b.sp.Context(), "journal_commit")
 		}
-		s.memMu.RLock()
-		defer s.memMu.RUnlock()
-		ingest(now)
-		commit()
-		return nil
+		// Per-tool routing happens inside the aggregate: every profile
+		// carries its tool and merge keys are tool-scoped, so a batch may
+		// mix tools freely. commit marks the key seen inside the barrier,
+		// so a snapshot never observes the batch without its mark.
+		s.applyMu.RLock()
+		err := s.pers.append(now, b.id, b.seq, b.keyed, body)
+		if err == nil {
+			mt0 := o.Start()
+			for _, p := range profs {
+				s.st.IngestKeyedAt(b.id, p, now)
+			}
+			o.StageSince(obs.StageMerge, mt0)
+			commit()
+		}
+		s.applyMu.RUnlock()
+		if err == nil {
+			s.pers.applied()
+		} else {
+			jsp.Fail(err.Error())
+		}
+		jsp.End()
+		return err
 	}
 	var dup, stale bool
-	if keyed {
+	if b.keyed {
 		// Process holds the pusher's window lock across apply, making
-		// check→journal→merge→mark atomic per pusher; the commit
-		// callback marks the key inside the persistence apply barrier.
-		// The dedup histogram sees the window-lock acquire + bitmap
-		// probe: Process total minus the time apply itself consumed.
+		// check→fanout→journal→merge→mark atomic per pusher. The dedup
+		// histogram sees the window-lock acquire + bitmap probe: Process
+		// total minus the time apply itself consumed.
 		var applyDur time.Duration
 		timedApply := apply
 		if o != nil {
@@ -486,7 +532,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		pt0 := o.Start()
-		dup, stale, err = s.ded.Process(id, seq, timedApply)
+		dup, stale, err = s.ded.Process(b.id, b.seq, timedApply)
 		if o != nil {
 			o.Stage(obs.StageDedup, time.Since(pt0)-applyDur)
 		}
@@ -494,64 +540,43 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		err = apply(func() {})
 	}
 	if err != nil {
-		decoders.Put(dec)
-		sp.Fail(err.Error())
-		finish()
+		done(&b, nil, nil, err)
 		s.shedRequest(w, http.StatusServiceUnavailable, 10, "durable apply failed, batch not accepted: %v", err)
 		return
 	}
 	if dup {
-		// The ack body below is identical to the original's — a pusher
-		// must not care whether its ack is first-hand. The header is
-		// for operators and tests.
+		// The ack body is identical to the original's — a pusher must not
+		// care whether its ack is first-hand. The header is for operators
+		// and tests.
 		if stale {
 			w.Header().Set("X-Witch-Duplicate", "stale")
 		} else {
 			w.Header().Set("X-Witch-Duplicate", "window")
 		}
 	}
+	done(&b, profs, buf, nil)
+}
 
-	// The merge copied everything it keeps, so the batch is done with:
-	// summarize the ack, then recycle the decoder. The ack JSON is
-	// written by hand — a reflective Encode over a map costs more than
-	// the whole binary decode for a small batch. Batches are almost
-	// always single-tool, so the counts live in a short slice, not a map.
-	type toolCount struct {
-		tool string
-		n    int
-	}
-	var counts []toolCount
-countTools:
-	for _, p := range profs {
-		for i := range counts {
-			if counts[i].tool == p.Tool {
-				counts[i].n++
-				continue countTools
-			}
+// readBody reads one batch body into pooled scratch (the caller puts
+// it back), bounded by MaxBody: 413 past the bound, 400 for any other
+// read error. The journal frames its own copy and the decoder interns
+// every string it keeps, so nothing outlives the request holding a
+// reference into the buffer.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
+		bufPool.Put(buf)
+		s.rejected.Add(1)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
 		}
-		counts = append(counts, toolCount{p.Tool, 1})
+		httpError(w, status, "ingest: %v", err)
+		return nil, false
 	}
-	accepted := len(profs)
-	decoders.Put(dec)
-
-	s.batches.Add(1)
-	buf.Reset() // the body is journaled and merged; reuse for the ack
-	var tmp [20]byte
-	buf.WriteString(`{"accepted":`)
-	buf.Write(strconv.AppendInt(tmp[:0], int64(accepted), 10))
-	buf.WriteString(`,"by_tool":{`)
-	for i, tc := range counts {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		appendJSONString(buf, tc.tool)
-		buf.WriteByte(':')
-		buf.Write(strconv.AppendInt(tmp[:0], int64(tc.n), 10))
-	}
-	buf.WriteString("}}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
-	finish()
+	return buf, true
 }
 
 // queryWindow parses the window parameter: a Go duration, with an
@@ -652,9 +677,7 @@ func (s *Server) gather(w http.ResponseWriter, r *http.Request) (g gathered, ok 
 			g.hinters[id][peer] = true
 		}
 	}
-	if s.repl != nil {
-		noteHints(s.cl.Self(), s.repl.hints.hintedPushers())
-	}
+	noteHints(s.cl.Self(), s.repl.hints.hintedPushers())
 	var unreachable []string
 	legs := s.cl.ScatterDeltas(r.Context(), r.URL.Query().Get("window"))
 	for _, sr := range legs {

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/store"
 	"repro/witch"
 )
@@ -211,20 +213,132 @@ func TestIngestRejections(t *testing.T) {
 		t.Fatalf("GET ingest: HTTP %d", resp.StatusCode)
 	}
 
-	// Size limit: a tiny cap rejects the same valid body outright.
-	small, err := OpenNode(NodeConfig{Server: Config{MaxBody: 16}})
+	// Size limit: a tiny cap rejects the same valid body outright, on
+	// both batch endpoints.
+	small, err := OpenNode(soloRing(NodeConfig{Server: Config{MaxBody: 16}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tss := httptest.NewServer(small.Handler())
-	defer tss.Close()
-	resp, err := http.Post(tss.URL+"/v1/ingest", "application/json", bytes.NewReader(good.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	defer small.Kill()
+	id := ownedID(t, small.Server(), "oversize-pusher")
+	for _, path := range []string{"/v1/ingest", "/v1/replicate"} {
+		if rec := postBatch(small.Handler(), path, good.Bytes(), id, 1); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized %s: HTTP %d, want 413", path, rec.Code)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized ingest: HTTP %d, want 413", resp.StatusCode)
+}
+
+// soloRing joins cfg to an RF=1 ring with a peer that is never
+// contacted: the node serves /v1/replicate, and coordinates every
+// pusher ownedID picks without a leg to replicate.
+func soloRing(cfg NodeConfig) NodeConfig {
+	const self = "http://solo.test"
+	cfg.Cluster = &cluster.Config{Self: self, Peers: []string{self, "http://unused.test"}}
+	cfg.Replication = ReplicationConfig{DrainInterval: time.Hour, RepairInterval: -1}
+	return cfg
+}
+
+// ownedID returns a pusher id srv owns, so srv coordinates its
+// batches rather than forwarding them.
+func ownedID(t *testing.T, srv *Server, prefix string) string {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		if id := fmt.Sprintf("%s-%d", prefix, i); srv.cl.Owner(id) == srv.cl.Self() {
+			return id
+		}
+	}
+	t.Fatal("no pusher id hashes to this node")
+	return ""
+}
+
+// postBatch sends one keyed batch to path through h.
+func postBatch(h http.Handler, path string, body []byte, id string, seq uint64) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(witch.PusherIDHeader, id)
+	req.Header.Set(witch.PusherSeqHeader, fmt.Sprint(seq))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestBatchGates locks the gates serveBatch runs for both batch
+// endpoints: every case is posted to /v1/ingest and to /v1/replicate
+// on a fresh node and must get the same answer there. (The 413 past
+// MaxBody is TestIngestRejections' oversize case, on both endpoints.)
+func TestBatchGates(t *testing.T) {
+	var good bytes.Buffer
+	testProfile(t, 1).WriteJSON(&good)
+	cases := []struct {
+		name       string
+		torn       bool // a data dir whose journal tears its first append
+		setup      func(t *testing.T, n *Node, path, id string)
+		body       string // "" posts the good batch
+		status     int
+		retryAfter string
+		duplicate  string
+	}{
+		{name: "draining", setup: func(t *testing.T, n *Node, _, _ string) { n.Server().setState(StateDraining) },
+			status: http.StatusServiceUnavailable, retryAfter: "5"},
+		{name: "recovering", setup: func(t *testing.T, n *Node, _, _ string) { n.Server().setState(StateRecovering) },
+			status: http.StatusServiceUnavailable, retryAfter: "1"},
+		{name: "semaphore full",
+			setup: func(t *testing.T, n *Node, _, _ string) {
+				for i := 0; i < cap(n.Server().sem); i++ {
+					n.Server().sem <- struct{}{}
+				}
+			},
+			status: http.StatusTooManyRequests, retryAfter: "1"},
+		{name: "failed journal", torn: true,
+			setup: func(t *testing.T, n *Node, path, id string) {
+				// The torn append fails its own batch and the journal with it.
+				if rec := postBatch(n.Handler(), path, good.Bytes(), id, 100); rec.Code != http.StatusServiceUnavailable {
+					t.Fatalf("torn append: HTTP %d, want 503", rec.Code)
+				}
+			},
+			status: http.StatusServiceUnavailable, retryAfter: "10"},
+		{name: "undecodable body", body: "not json", status: http.StatusBadRequest},
+		{name: "replayed key",
+			setup: func(t *testing.T, n *Node, path, id string) {
+				if rec := postBatch(n.Handler(), path, good.Bytes(), id, 1); rec.Code != http.StatusOK {
+					t.Fatalf("first delivery: HTTP %d", rec.Code)
+				}
+			},
+			status: http.StatusOK, duplicate: "window"},
+	}
+	for _, tc := range cases {
+		for _, path := range []string{"/v1/ingest", "/v1/replicate"} {
+			t.Run(tc.name+path, func(t *testing.T) {
+				var cfg NodeConfig
+				if tc.torn {
+					cfg.DataDir = t.TempDir()
+					cfg.Journal.Injector = fault.NewInjector(fault.Plan{Seed: 7, TornRecord: 1})
+				}
+				n, err := OpenNode(soloRing(cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(n.Kill)
+				id := ownedID(t, n.Server(), "gate-pusher")
+				if tc.setup != nil {
+					tc.setup(t, n, path, id)
+				}
+				body := good.Bytes()
+				if tc.body != "" {
+					body = []byte(tc.body)
+				}
+				rec := postBatch(n.Handler(), path, body, id, 1)
+				if rec.Code != tc.status {
+					t.Fatalf("HTTP %d, want %d (%s)", rec.Code, tc.status, rec.Body.String())
+				}
+				if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
+					t.Fatalf("Retry-After %q, want %q", got, tc.retryAfter)
+				}
+				if got := rec.Header().Get("X-Witch-Duplicate"); got != tc.duplicate {
+					t.Fatalf("X-Witch-Duplicate %q, want %q", got, tc.duplicate)
+				}
+			})
+		}
 	}
 }
 
