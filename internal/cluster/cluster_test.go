@@ -227,6 +227,89 @@ func TestForwardShedOpensBreaker(t *testing.T) {
 	}
 }
 
+// TestForwardUnreachedOwnerOpensBreaker: with RF > 1, one forward that
+// reached no owner opens its breaker past the shed's Retry-After, so the
+// pusher's retry reroutes; with RF = 1 there is no one to reroute to and
+// the failure threshold still applies.
+func TestForwardUnreachedOwnerOpensBreaker(t *testing.T) {
+	self := "http://10.0.0.1:9147"
+	dead := "http://127.0.0.1:1" // nothing listens on port 1
+	for _, rf := range []int{1, 2} {
+		now := time.Unix(1700000000, 0)
+		r := mustRouter(t, Config{
+			Self: self, Peers: []string{self, dead}, ReplicationFactor: rf,
+			Now: func() time.Time { return now },
+		})
+		_, err := r.Forward(context.Background(), dead, "application/json", "p", 1, nil)
+		var pd *PeerDownError
+		if !errors.As(err, &pd) || pd.Err == nil || pd.RetryAfter != DefaultRetryAfter {
+			t.Fatalf("rf=%d: want a transport PeerDownError, got %v", rf, err)
+		}
+		ps := r.PeerStates()
+		if rf == 1 {
+			if ps[0].Open || ps[0].Trips != 0 {
+				t.Fatalf("rf=1: breaker opened below its threshold: %+v", ps[0])
+			}
+			continue
+		}
+		if !ps[0].Open || ps[0].Trips != 1 {
+			t.Fatalf("rf=%d: breaker after one unreached forward: %+v, want open, one trip", rf, ps[0])
+		}
+		now = now.Add(DefaultRetryAfter + DefaultRetryAfter/4)
+		if _, err := r.Forward(context.Background(), dead, "application/json", "p", 1, nil); !errors.As(err, &pd) || pd.Err != nil {
+			t.Fatalf("retry after the shed's Retry-After plus a quarter: want breaker open, got %v", err)
+		}
+	}
+}
+
+// TestForwardReachedOwnerKeepsThreshold: with RF > 1, a forward that
+// may have reached the owner leaves its breaker closed below the
+// failure threshold — a torn ack (the owner may have committed; only a
+// retry there is safe), a ForwardTimeout on a live owner, and a request
+// the caller cancelled.
+func TestForwardReachedOwnerKeepsThreshold(t *testing.T) {
+	release := make(chan struct{})
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Header.Get(witch.PusherIDHeader) {
+		case "torn":
+			w.Header().Set("Content-Length", "100")
+			w.WriteHeader(http.StatusOK)
+			w.Write([]byte(`{"ingested"`))
+		default:
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		}
+	}))
+	defer owner.Close()
+	defer close(release)
+	self := "http://10.0.0.1:9147"
+	for _, c := range []struct {
+		pusher       string
+		fwdTO, ctxTO time.Duration
+	}{
+		{"torn", time.Minute, time.Minute},
+		{"timeout", 50 * time.Millisecond, time.Minute},
+		{"cancelled", time.Minute, 50 * time.Millisecond},
+	} {
+		r := mustRouter(t, Config{
+			Self: self, Peers: []string{self, owner.URL}, ReplicationFactor: 2,
+			ForwardTimeout: c.fwdTO,
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), c.ctxTO)
+		_, err := r.Forward(ctx, owner.URL, "application/json", c.pusher, 1, nil)
+		cancel()
+		var pd *PeerDownError
+		if !errors.As(err, &pd) || pd.Err == nil {
+			t.Fatalf("%s: want a PeerDownError with a cause, got %v", c.pusher, err)
+		}
+		if ps := r.PeerStates(); ps[0].Open || ps[0].Trips != 0 || ps[0].Fails != 1 {
+			t.Fatalf("%s: breaker after one failure: %+v, want closed with one failure", c.pusher, ps[0])
+		}
+	}
+}
+
 // TestScatterPartial: one live peer and one dead peer produce one
 // Export and one error — a partial gather, never a failed one.
 func TestScatterPartial(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/witch"
 )
@@ -43,8 +44,20 @@ func (fr *ForwardResult) Shed() bool {
 // the caller must relay as-is. A *PeerDownError means no verdict
 // exists: the caller sheds with Retry-After and the pusher keeps the
 // batch.
+//
+// With RF > 1, a forward that reached no owner (the request failed in
+// transport while the caller still waited for it) opens the owner's
+// breaker at once, for longer than the Retry-After the caller sheds
+// with: the pusher's retry then finds the breaker open and goes to the
+// next replica-set member instead of dialling the dead owner again. A
+// torn ack, a ForwardTimeout and a cancelled request leave the breaker
+// to its failure threshold.
 func (r *Router) Forward(ctx context.Context, owner, ctype, pusherID string, seq uint64, body []byte) (*ForwardResult, error) {
-	rep, err := r.postLeg(ctx, owner, "/v1/ingest", "forward", ctype, pusherID, seq, body, ForwardedHeader, r.self)
+	unreached := time.Duration(0)
+	if r.rf > 1 {
+		unreached = DefaultRetryAfter * 3 / 2
+	}
+	rep, err := r.postLeg(ctx, owner, "/v1/ingest", "forward", ctype, pusherID, seq, body, ForwardedHeader, r.self, unreached)
 	if err == nil && rep.torn != nil {
 		// The owner may have committed before the response tore, so this
 		// is NOT a safe moment to re-route; shed and let the pusher retry
@@ -93,10 +106,12 @@ type legReply struct {
 // the breaker gate, ForwardTimeout, the key and ring headers plus the
 // leg's own header (hdr: val), the client span (failed on a non-2xx status or a torn
 // body), the peer RTT, the breaker failure of a transport error, and
-// the bounded body read. A *PeerDownError means no response arrived;
-// otherwise the caller maps the reply to its verdict and settles the
-// breaker. Counters are the caller's.
-func (r *Router) postLeg(ctx context.Context, peer, path, op, ctype, pusherID string, seq uint64, body []byte, hdr, val string) (*legReply, error) {
+// the bounded body read. A transport error while ctx is still live
+// opens the breaker for unreached at once (0 leaves it to the failure
+// threshold). A *PeerDownError means no response arrived; otherwise
+// the caller maps the reply to its verdict and settles the breaker.
+// Counters are the caller's.
+func (r *Router) postLeg(ctx context.Context, peer, path, op, ctype, pusherID string, seq uint64, body []byte, hdr, val string, unreached time.Duration) (*legReply, error) {
 	if wait := r.breakerGate(peer); wait > 0 {
 		return nil, &PeerDownError{Peer: peer, RetryAfter: wait}
 	}
@@ -118,7 +133,10 @@ func (r *Router) postLeg(ctx context.Context, peer, path, op, ctype, pusherID st
 	if err != nil {
 		sp.Fail(err.Error())
 		sp.End()
-		r.breakerFailure(peer, 0, false)
+		if ctx.Err() != nil {
+			unreached = 0
+		}
+		r.breakerFailure(peer, unreached, false)
 		return nil, &PeerDownError{Peer: peer, RetryAfter: DefaultRetryAfter, Err: err}
 	}
 	rep := &legReply{status: resp.StatusCode, header: resp.Header}

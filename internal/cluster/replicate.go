@@ -32,7 +32,7 @@ type ReplicateResult struct {
 // the breaker for forwards too (it is the same TCP path that is down).
 func (r *Router) Replicate(ctx context.Context, peer, ctype, pusherID string, seq uint64, ts time.Time, body []byte) (*ReplicateResult, error) {
 	rep, err := r.postLeg(ctx, peer, "/v1/replicate", "replicate", ctype, pusherID, seq, body,
-		TimestampHeader, strconv.FormatInt(ts.UnixNano(), 10))
+		TimestampHeader, strconv.FormatInt(ts.UnixNano(), 10), 0)
 	if err != nil {
 		r.replicateErrors.Add(1)
 		return nil, err

@@ -26,7 +26,9 @@ import (
 // have committed before the response tore, and only a retry of the
 // same sequence against the same dedup windows is safe. When no
 // verdict exists the batch is shed with 503 + Retry-After — the pusher
-// spools it and retries.
+// spools it and retries. With RF > 1, a forward that reached no owner
+// already left that owner's breaker open past the Retry-After
+// (cluster.Router.Forward), so the retry reroutes.
 func (s *Server) forwardIngest(ctx context.Context, w http.ResponseWriter, r *http.Request, id string, seq uint64, candidates []string) {
 	buf, ok := s.readBody(w, r)
 	if !ok {

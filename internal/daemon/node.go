@@ -60,6 +60,7 @@ func OpenNode(cfg NodeConfig) (_ *Node, err error) {
 	if cfg.DataDir != "" {
 		s.setState(StateRecovering)
 		jopts := cfg.Journal
+		jopts.Inflight = func() int { return int(s.toJournal.Load()) }
 		if ob != nil {
 			jopts.ObserveCommit = func(wait time.Duration) { ob.Stage(obs.StageJournal, wait) }
 		}

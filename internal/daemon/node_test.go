@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/store"
 	"repro/internal/wal"
+	"repro/witch"
 )
 
 // servedNode is one OpenNode incarnation served over real TCP, the way
@@ -321,4 +323,74 @@ func TestNodeServesOnlyAfterRecoveryAndReplication(t *testing.T) {
 	check("request sent before OpenNode", r, err)
 	r, err = http.Get(self + "/healthz")
 	check("steady state", r, err)
+}
+
+// TestLingerSkipsForwardsInFlight: a node lingering for its gang
+// (MaxCommitDelay) waits only for batches on their way to its journal.
+// A batch it is forwarding to another owner holds an in-flight slot
+// but never reaches the journal, so a local ingest beside it commits
+// without waiting out the linger.
+func TestLingerSkipsForwardsInFlight(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer owner.Close()
+	defer close(release)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := "http://" + ln.Addr().String()
+	const linger = 3 * time.Second
+	node, err := OpenNode(NodeConfig{
+		DataDir: t.TempDir(),
+		Journal: wal.Options{GroupCommit: true, MaxCommitDelay: linger},
+		Cluster: &cluster.Config{Self: self, Peers: []string{self, owner.URL}, Logf: t.Logf},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Kill)
+	go node.Serve(ln)
+
+	cl := node.Server().Cluster()
+	var mine, theirs string
+	for i := 0; mine == "" || theirs == ""; i++ {
+		id := fmt.Sprintf("linger-pusher-%d", i)
+		if cl.Owner(id) == self {
+			mine = id
+		} else {
+			theirs = id
+		}
+	}
+	body := jsonBody(t, 3)
+	forwarded := make(chan int, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodPost, self+"/v1/ingest", bytes.NewReader(body))
+		req.Header.Set(witch.PusherIDHeader, theirs)
+		req.Header.Set(witch.PusherSeqHeader, "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			forwarded <- 0
+			return
+		}
+		resp.Body.Close()
+		forwarded <- resp.StatusCode
+	}()
+	<-entered
+
+	t0 := time.Now()
+	if resp := keyedIngest(t, self, body, mine, 1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("local ingest beside a forward: HTTP %d", resp.StatusCode)
+	}
+	if d := time.Since(t0); d >= linger/2 {
+		t.Fatalf("local ingest took %v beside a forward in flight; the %v linger waited for a batch that never journals", d, linger)
+	}
+	release <- struct{}{}
+	if code := <-forwarded; code != http.StatusServiceUnavailable {
+		t.Fatalf("forwarded batch: HTTP %d, want the owner's 503 relayed", code)
+	}
 }

@@ -950,3 +950,69 @@ func TestDrainSkipsPermanentlyRejectedHints(t *testing.T) {
 		t.Fatalf("follower applied %d replayed hints, want 1", got)
 	}
 }
+
+// TestRerouteAfterOwnerKill bounds how long a pusher with no failover
+// URL waits to be rerouted once its owner dies. The pusher keeps posting
+// through one entry node and honours each shed's Retry-After plus the
+// quarter witch.Pusher may add. The owner is killed outright (its
+// listener closed), so the entry's forward fails in transport. The
+// retry after the first shed must already reach the follower: the time
+// from kill to ack is one Retry-After, not the several doubling breaker
+// cooldowns it takes three transport failures to start.
+func TestRerouteAfterOwnerKill(t *testing.T) {
+	prof := testProfile(t, 31)
+	var body bytes.Buffer
+	if err := prof.WriteJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	for _, role := range []string{"non-member entry", "follower entry"} {
+		t.Run(role, func(t *testing.T) {
+			nodes := newTestRing(t, ringOptions{n: 3, rf: 2})
+			id := pickOwned(t, nodes, 0)
+			owner := nodes[0]
+			var entry, follower *testNode
+			for _, nd := range nodes[1:] {
+				if nd.srv.Cluster().InReplicaSet(id, nd.url) {
+					follower = nd
+				} else {
+					entry = nd
+				}
+			}
+			if role == "follower entry" {
+				entry = follower
+			}
+			if resp := keyedIngest(t, entry.url, body.Bytes(), id, 1); resp.StatusCode != http.StatusOK {
+				t.Fatalf("healthy ingest: HTTP %d", resp.StatusCode)
+			}
+
+			owner.ht.Close()
+			killed := time.Now()
+			sheds := 0
+			for {
+				resp := keyedIngest(t, entry.url, body.Bytes(), id, 2)
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("after %d sheds: HTTP %d, want 503 or 200", sheds, resp.StatusCode)
+				}
+				sheds++
+				if time.Since(killed) > 30*time.Second {
+					t.Fatalf("no reroute %v after the owner died (%d sheds)", time.Since(killed), sheds)
+				}
+				ra, err := time.ParseDuration(resp.Header.Get("Retry-After") + "s")
+				if err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(ra + ra/4)
+			}
+			took := time.Since(killed)
+			if got := follower.srv.st.Stats().Ingested; got != 2 {
+				t.Fatalf("follower holds %d profiles, want both batches", got)
+			}
+			if took > 5*time.Second || sheds > 1 {
+				t.Fatalf("rerouted %v after the owner died, after %d sheds; want one shed and under 5s", took, sheds)
+			}
+		})
+	}
+}

@@ -106,6 +106,10 @@ type Server struct {
 	// snapshots and partition adoption take the write side, so each sees
 	// a batch whole or not at all.
 	applyMu sync.RWMutex
+	// toJournal counts the decoded batches between the start of their
+	// apply and the return of their journal append: the records the
+	// journal's committer may still see join its current gang.
+	toJournal atomic.Int64
 
 	batches        atomic.Uint64 // ingest requests accepted locally
 	rejected       atomic.Uint64 // ingest requests rejected (bad input)
@@ -480,8 +484,10 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request,
 		if now.IsZero() {
 			now = s.cfg.Now()
 		}
+		s.toJournal.Add(1)
 		if b.coordinate {
 			if err := s.repl.fanout(b.ctx, b.id, b.seq, r.Header.Get("Content-Type"), body, now); err != nil {
+				s.toJournal.Add(-1)
 				return err
 			}
 		}
@@ -498,6 +504,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request,
 		// so a snapshot never observes the batch without its mark.
 		s.applyMu.RLock()
 		err := s.pers.append(now, b.id, b.seq, b.keyed, body)
+		s.toJournal.Add(-1)
 		if err == nil {
 			mt0 := o.Start()
 			for _, p := range profs {

@@ -455,6 +455,10 @@ func (m *Machine) runQuantum(t *Thread) error {
 			val := m.Mem.LoadN(addr, in.Width)
 			r[in.Dst] = val
 			t.Loads++
+			if m.observer == nil && !t.Watch.MayTrap(addr, in.Width) && t.PMU.CountQuiet(pmu.Load) {
+				idx = next
+				continue
+			}
 			sync(q)
 			t.PC = isa.MakePC(fn, idx)
 			m.retireAccess(t, pmu.Load, t.PC, isa.MakePC(fn, next), addr, in.Width, val, in.Float, in.Latency)
@@ -469,6 +473,10 @@ func (m *Machine) runQuantum(t *Thread) error {
 			}
 			m.Mem.StoreN(addr, val, in.Width)
 			t.Stores++
+			if m.observer == nil && !t.Watch.MayTrap(addr, in.Width) && t.PMU.CountQuiet(pmu.Store) {
+				idx = next
+				continue
+			}
 			sync(q)
 			t.PC = isa.MakePC(fn, idx)
 			m.retireAccess(t, pmu.Store, t.PC, isa.MakePC(fn, next), addr, in.Width, val, in.Float, in.Latency)

@@ -197,6 +197,29 @@ func (u *Unit) CountNonMem() {
 	}
 }
 
+// CountQuiet is CountMemOp's inlinable fast path for one retired access
+// of the given kind. It returns true when it has done all CountMemOp
+// would: the unit is off, a PEBS counter does not count kind, or it
+// counted the access and stayed below the period. It returns false,
+// touching nothing, when CountMemOp must run: the counter would
+// overflow, or Shadow or IBS keeps per-access state.
+func (u *Unit) CountQuiet(kind AccessKind) bool {
+	if !u.enabled {
+		return true
+	}
+	if u.Shadow || u.Mode != ModePEBS {
+		return false
+	}
+	if !u.matches(kind) {
+		return true
+	}
+	if u.counter+1 >= u.period {
+		return false
+	}
+	u.counter++
+	return true
+}
+
 // sample is the precise snapshot of one access.
 func (u *Unit) sample(kind AccessKind, pc isa.PC, addr uint64, width uint8, value uint64, float bool) Sample {
 	return Sample{

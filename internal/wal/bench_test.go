@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -56,11 +57,15 @@ func BenchmarkAppendGroup(b *testing.B) {
 }
 
 // BenchmarkAppendGroupLinger turns on a half-millisecond linger so the
-// committer's yield-based gather — not just the previous gang's fsync
-// back-pressure — forms the gangs. This is the operating point a
+// committer's gather — not just the previous gang's fsync back-pressure
+// — forms the gangs, and counts its producers in Options.Inflight the
+// way witchd counts batches on their way to the journal, so a gang
+// stops lingering once it holds them all. This is the operating point a
 // nonzero -commit-delay configures.
 func BenchmarkAppendGroupLinger(b *testing.B) {
-	j, err := Open(b.TempDir(), Options{GroupCommit: true, MaxCommitDelay: 500 * time.Microsecond})
+	var inflight atomic.Int64
+	j, err := Open(b.TempDir(), Options{GroupCommit: true, MaxCommitDelay: 500 * time.Microsecond,
+		Inflight: func() int { return int(inflight.Load()) }})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,7 +75,10 @@ func BenchmarkAppendGroupLinger(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := j.Append(benchPayload); err != nil {
+			inflight.Add(1)
+			_, err := j.Append(benchPayload)
+			inflight.Add(-1)
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,5 +209,64 @@ func TestGroupCommitRotation(t *testing.T) {
 	}
 	if j2.Recovery().Segments < 2 {
 		t.Fatalf("expected rotation to produce multiple segments, got %d", j2.Recovery().Segments)
+	}
+}
+
+// TestGroupCommitLingerStopsAtInflight: the committer's linger ends as
+// soon as its gang holds every record Options.Inflight reports, waits
+// for producers that are counted but not yet queued, and without the
+// count runs the whole MaxCommitDelay.
+func TestGroupCommitLingerStopsAtInflight(t *testing.T) {
+	var inflight atomic.Int64
+	j, err := Open(t.TempDir(), Options{GroupCommit: true, MaxCommitDelay: 5 * time.Second,
+		Inflight: func() int { return int(inflight.Load()) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+
+	// An idle journal: the lone record in flight commits at once.
+	inflight.Store(1)
+	t0 := time.Now()
+	if _, err := j.Append([]byte("alone")); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("a lone append waited %v for the linger", d)
+	}
+
+	// Four producers admitted together but queueing 20 ms apart land
+	// in one gang.
+	inflight.Store(4)
+	before := j.Commits()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			time.Sleep(time.Duration(i) * 20 * time.Millisecond)
+			if _, err := j.Append([]byte(fmt.Sprintf("late-%d", i))); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := j.Commits() - before; got != 1 {
+		t.Fatalf("4 announced appends took %d commits, want one gang", got)
+	}
+
+	// Without a count, the linger has no earlier stop than its delay.
+	const delay = 30 * time.Millisecond
+	j2, err := Open(t.TempDir(), Options{GroupCommit: true, MaxCommitDelay: delay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	t0 = time.Now()
+	if _, err := j2.Append([]byte("uncounted")); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(t0); d < delay {
+		t.Fatalf("uncounted append committed after %v, before the %v linger", d, delay)
 	}
 }

@@ -98,6 +98,13 @@ type Options struct {
 	// gangs); a small positive value trades that much ack latency for
 	// bigger gangs. Ignored without GroupCommit.
 	MaxCommitDelay time.Duration
+	// Inflight, when non-nil, reports how many records the caller has
+	// on their way to Append, counting those already queued. The
+	// committer's linger ends as soon as its gang holds that many, so a
+	// gang waits for every producer that is coming and for no one else;
+	// without it the linger runs the whole MaxCommitDelay. witchd points
+	// it at its count of decoded batches on their way to the journal.
+	Inflight func() int
 	// SyncDelay models a disk whose commit costs a fixed latency: every
 	// successful fsync additionally holds the journal for this long.
 	// Zero (production) adds nothing. Benchmarks use it to pin the
@@ -483,12 +490,11 @@ func (j *Journal) appendGrouped(payload []byte) (uint64, error) {
 // sub-millisecond lingers (the useful range: a gang fills in
 // concurrency × per-append CPU) silently 10x longer than configured.
 // Instead the committer yields the processor between non-blocking
-// sweeps: each runtime.Gosched lets every runnable producer reach its
-// Append, and two consecutive sweeps finding nothing new means the
-// producers are all either blocked in this gang or idle — so the gang
-// is as big as it is going to get and waiting longer only adds
-// latency. An idle journal therefore still acks in microseconds while
-// a saturated one fills gangs to the offered concurrency.
+// sweeps, letting every runnable producer reach its Append, and stops
+// once the gang holds every record Options.Inflight says is coming. A
+// producer counted there but not yet queued here (in witchd, a decoded
+// batch still on its replication leg or on its way to Append) is waited
+// for; an idle journal (a count of one) still acks in microseconds.
 func (j *Journal) committer() {
 	defer j.committerWG.Done()
 	var batch []*waiter
@@ -496,42 +502,34 @@ func (j *Journal) committer() {
 		batch = append(batch[:0], w)
 		if d := j.opts.MaxCommitDelay; d > 0 {
 			deadline := time.Now().Add(d)
-			for empty := 0; empty < 2 && time.Now().Before(deadline); {
-				grew := false
-			gather:
-				for {
-					select {
-					case w2, ok := <-j.commitCh:
-						if !ok {
-							break gather
-						}
-						batch = append(batch, w2)
-						grew = true
-					default:
-						break gather
-					}
-				}
-				if grew {
-					empty = 0
-				} else {
-					empty++
-				}
+			for open := true; open && !j.gangFull(len(batch)) && time.Now().Before(deadline); {
 				runtime.Gosched()
+				batch, open = j.gather(batch)
 			}
 		}
-	sweep:
-		for {
-			select {
-			case w2, ok := <-j.commitCh:
-				if !ok {
-					break sweep
-				}
-				batch = append(batch, w2)
-			default:
-				break sweep
-			}
-		}
+		batch, _ = j.gather(batch)
 		j.commitBatch(batch)
+	}
+}
+
+// gangFull reports whether a gang of n holds every record in flight.
+func (j *Journal) gangFull(n int) bool {
+	return j.opts.Inflight != nil && n >= j.opts.Inflight()
+}
+
+// gather appends every waiter already queued to batch without blocking;
+// open is false once Close has closed the queue.
+func (j *Journal) gather(batch []*waiter) (_ []*waiter, open bool) {
+	for {
+		select {
+		case w, ok := <-j.commitCh:
+			if !ok {
+				return batch, false
+			}
+			batch = append(batch, w)
+		default:
+			return batch, true
+		}
 	}
 }
 
