@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 // forwardIngest relays one keyed batch to a member of its replica set
@@ -129,7 +130,9 @@ func (s *Server) handleShardDelta(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding delta request: %v", err)
 		return
 	}
+	t0 := s.cfg.Obs.Start()
 	sd := cluster.ShardDelta{Delta: s.st.ExportDelta(window, dreq.Ver)}
+	s.cfg.Obs.StageSince(obs.StageExport, t0)
 	if s.repl != nil {
 		sd.Hinted = s.repl.hints.hintedPushers()
 	}

@@ -66,6 +66,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("witchd_store_query_cache_misses_total", "Store query-view cache misses.", cst.QueryMisses)
 	counter("witchd_store_export_cache_hits_total", "Store export cache hits.", cst.ExportHits)
 	counter("witchd_store_export_cache_misses_total", "Store export cache misses.", cst.ExportMisses)
+	counter("witchd_store_export_parts_reused_total", "Partitions an export miss took unchanged from the previous export.", cst.ExportPartsReused)
+	counter("witchd_store_export_parts_rebuilt_total", "Partitions an export miss merged afresh.", cst.ExportPartsRebuilt)
 
 	ds := s.ded.Stats()
 	gauge("witchd_dedup_pushers", "Pushers with a live dedup window.", uint64(ds.Pushers))

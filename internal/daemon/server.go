@@ -673,7 +673,9 @@ func (s *Server) gather(w http.ResponseWriter, r *http.Request) (g gathered, ok 
 		return g, true
 	}
 
+	t0 := s.cfg.Obs.Start()
 	g.exports = map[string]*store.Export{s.cl.Self(): s.st.Export(window)}
+	s.cfg.Obs.StageSince(obs.StageExport, t0)
 	// hinters[id] = reachable exporters with queued hints for pusher id.
 	g.hinters = make(map[string]map[string]bool)
 	noteHints := func(peer string, hinted map[string][]string) {
@@ -821,6 +823,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.serveCached(w, respKey("top", g, strconv.Itoa(n)), func() *respEntry {
 		view := s.materialize(g)
+		defer o.StageSince(obs.StageRender, o.Start())
 		// SnapshotTop ranks only the n pairs the response carries —
 		// heap selection instead of sorting the whole population.
 		prof := view.SnapshotTop(g.tool, g.program, n)
@@ -876,7 +879,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		o.CaptureSlow("query", sp.Context(), "", 0, "profile "+g.tool, qStart, d)
 	}()
 	s.serveCached(w, respKey("profile", g, ""), func() *respEntry {
-		prof := s.materialize(g).Snapshot(g.tool, g.program)
+		view := s.materialize(g)
+		defer o.StageSince(obs.StageRender, o.Start())
+		prof := view.Snapshot(g.tool, g.program)
 		if prof == nil {
 			httpError(w, http.StatusNotFound, "no profiles for tool %q (program %q) in window", g.tool, g.program)
 			return nil

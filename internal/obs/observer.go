@@ -38,6 +38,13 @@ const (
 	// StageFold is the query-side merge (materialize) of the gathered
 	// exports into the answering view.
 	StageFold
+	// StageExport is the local store export a query reads: the
+	// coordinator's own export in gather, and a peer's delta export
+	// serving one /v1/shard leg.
+	StageExport
+	// StageRender is the snapshot and encode of a materialized view
+	// into a /v1/top or /v1/profile body.
+	StageRender
 	// StageCacheHit / StageCacheMiss split query serving time by
 	// rendered-response-cache outcome.
 	StageCacheHit
@@ -57,6 +64,8 @@ var stageNames = [numStages]string{
 	"scatter_leg",
 	"query",
 	"query_fold",
+	"query_export",
+	"query_render",
 	"query_cache_hit",
 	"query_cache_miss",
 }

@@ -28,6 +28,17 @@
 // it, and the next read rebuilds — the cache can serve fresh data
 // labeled old, never stale data labeled current.
 //
+// An export miss is O(changed partitions), not O(total state). When
+// the window's previous export has the same generation and bucketIdx,
+// each partition whose epoch in the fresh vector equals the epoch that
+// export carries for it reuses that export's *agg.State; only the
+// other partitions are merged across buckets and sorted again. The
+// rule that makes a whole-export hit safe makes a per-partition reuse
+// safe: an equal partition epoch proves no mutation of that partition
+// since the earlier vector read, and the equal bucketIdx proves the
+// same bucket set. Config.NoCache keeps no previous export, so it
+// still rebuilds everything — the oracle.
+//
 // Restore swaps the whole world, so it also regenerates the store's
 // generation stamp. The generation is part of ExportVersion: a
 // coordinator holding a delta baseline from a peer that restarted (or
@@ -201,21 +212,27 @@ func (s *Store) Version(window time.Duration) Version {
 // generation; restarts from a Restore reset it under a new Gen).
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
-// CacheStats counts cache traffic for /metrics.
+// CacheStats counts cache traffic for /metrics. ExportPartsReused
+// and ExportPartsRebuilt count, over every export miss, the partitions
+// taken unchanged from the previous export and those merged afresh.
 type CacheStats struct {
-	QueryHits    uint64 `json:"query_hits"`
-	QueryMisses  uint64 `json:"query_misses"`
-	ExportHits   uint64 `json:"export_hits"`
-	ExportMisses uint64 `json:"export_misses"`
+	QueryHits          uint64 `json:"query_hits"`
+	QueryMisses        uint64 `json:"query_misses"`
+	ExportHits         uint64 `json:"export_hits"`
+	ExportMisses       uint64 `json:"export_misses"`
+	ExportPartsReused  uint64 `json:"export_parts_reused"`
+	ExportPartsRebuilt uint64 `json:"export_parts_rebuilt"`
 }
 
 // CacheStats snapshots the query/export cache counters.
 func (s *Store) CacheStats() CacheStats {
 	return CacheStats{
-		QueryHits:    s.queryHits.Load(),
-		QueryMisses:  s.queryMisses.Load(),
-		ExportHits:   s.exportHits.Load(),
-		ExportMisses: s.exportMisses.Load(),
+		QueryHits:          s.queryHits.Load(),
+		QueryMisses:        s.queryMisses.Load(),
+		ExportHits:         s.exportHits.Load(),
+		ExportMisses:       s.exportMisses.Load(),
+		ExportPartsReused:  s.exportPartsReused.Load(),
+		ExportPartsRebuilt: s.exportPartsRebuilt.Load(),
 	}
 }
 
@@ -253,13 +270,17 @@ type VersionedExport struct {
 // ExportVersioned is Export plus the version vector delta scatter
 // diffs against. Cached like Query: while (epoch, bucketIdx) are
 // unchanged, the same *VersionedExport comes back without re-merging.
+// A miss rebuilds only the partitions whose epochs moved since the
+// window's previous export; every other partition reuses that
+// export's *agg.State (see exportAt).
 func (s *Store) ExportVersioned(window time.Duration) *VersionedExport {
 	now := s.cfg.Now()
 	idx := s.bucketIdx(window, now)
-	// Read the epoch and the partition vector before building: a
-	// mutation mid-build bumps past them and forces the next read to
-	// rebuild.
+	// Read the generation, the epoch and the partition vector before
+	// building: a mutation mid-build bumps past them and forces the next
+	// read to rebuild that partition.
 	s.epochMu.Lock()
+	gen := s.gen.Load()
 	e := s.epoch.Load()
 	vec := make(map[string]uint64, len(s.partEpochs))
 	for id, pe := range s.partEpochs {
@@ -267,21 +288,25 @@ func (s *Store) ExportVersioned(window time.Duration) *VersionedExport {
 	}
 	s.epochMu.Unlock()
 
+	var prev *VersionedExport
 	if !s.cfg.NoCache {
 		s.cacheMu.Lock()
-		if ent := s.exportCache[window]; ent != nil && ent.epoch == e && ent.idx == idx {
-			s.cacheMu.Unlock()
-			s.exportHits.Add(1)
-			return ent.ve
-		}
+		ent := s.exportCache[window]
 		s.cacheMu.Unlock()
+		if ent != nil && ent.idx == idx && ent.ve.Ver.Gen == gen {
+			if ent.epoch == e {
+				s.exportHits.Add(1)
+				return ent.ve
+			}
+			prev = ent.ve
+		}
 	}
 	s.exportMisses.Add(1)
 
-	exp := s.exportAt(window, now)
+	exp := s.exportAt(window, now, vec, prev)
 	ve := &VersionedExport{
 		Export: exp,
-		Ver:    ExportVersion{Gen: s.gen.Load(), BucketIdx: idx, Epochs: make(map[string]uint64, len(exp.Parts)+1)},
+		Ver:    ExportVersion{Gen: gen, BucketIdx: idx, Epochs: make(map[string]uint64, len(exp.Parts)+1)},
 	}
 	// The vector covers exactly the partitions present in this window's
 	// export: absent ids read as 0 on the diff side, which re-ships
@@ -302,6 +327,22 @@ func (s *Store) ExportVersioned(window time.Duration) *VersionedExport {
 		s.cacheMu.Unlock()
 	}
 	return ve
+}
+
+// unchanged returns ve's State for partition id when id's epoch in vec
+// equals the epoch ve was labeled with — no mutation of id since ve
+// read its vector — and nil otherwise (or on a nil ve).
+func (ve *VersionedExport) unchanged(id string, vec map[string]uint64) *agg.State {
+	if ve == nil {
+		return nil
+	}
+	if pe, ok := ve.Ver.Epochs[id]; !ok || pe != vec[id] {
+		return nil
+	}
+	if id == "" {
+		return ve.Export.Unkeyed
+	}
+	return ve.Export.Parts[id]
 }
 
 // ExportDelta is what /v1/shard v2 ships: either a full export (the

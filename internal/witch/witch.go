@@ -16,6 +16,8 @@
 package witch
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -398,25 +400,65 @@ func NearestPrime(n uint64) uint64 {
 	if n < 3 {
 		return 2
 	}
-	isPrime := func(x uint64) bool {
-		if x%2 == 0 {
-			return x == 2
-		}
-		for d := uint64(3); d*d <= x; d += 2 {
-			if x%d == 0 {
-				return false
-			}
-		}
-		return true
-	}
 	for delta := uint64(0); ; delta++ {
 		if delta < n && isPrime(n-delta) {
 			return n - delta
 		}
-		if isPrime(n + delta) {
+		if delta <= math.MaxUint64-n && isPrime(n+delta) {
 			return n + delta
 		}
 	}
+}
+
+// mrBases are the Miller–Rabin witnesses that decide primality for
+// every 64-bit integer (the first twelve primes).
+var mrBases = [...]uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
+
+// isPrime is deterministic Miller–Rabin over mrBases: O(log x)
+// multiplications per base where trial division needed O(√x)
+// divisions.
+func isPrime(x uint64) bool {
+	if x < 2 {
+		return false
+	}
+	for _, p := range mrBases {
+		if x%p == 0 {
+			return x == p
+		}
+	}
+	r := bits.TrailingZeros64(x - 1)
+	d := (x - 1) >> r
+	for _, a := range mrBases {
+		y := powMod(a, d, x)
+		if y == 1 || y == x-1 {
+			continue
+		}
+		for i := 1; i < r && y != x-1; i++ {
+			y = mulMod(y, y, x)
+		}
+		if y != x-1 {
+			return false
+		}
+	}
+	return true
+}
+
+// mulMod is a·b mod m without overflow, through the 128-bit product.
+func mulMod(a, b, m uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return bits.Rem64(hi, lo, m)
+}
+
+// powMod is a^e mod m by square-and-multiply.
+func powMod(a, e, m uint64) uint64 {
+	out := uint64(1)
+	for a %= m; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			out = mulMod(out, a, m)
+		}
+		a = mulMod(a, a, m)
+	}
+	return out
 }
 
 // NewProfiler wires a profiler to a machine. The machine must not have
