@@ -21,7 +21,9 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -348,16 +350,26 @@ func (a *Aggregator) Snapshot(tool, program string) *witch.Profile {
 	}, pairs)
 }
 
-// combinedMeta folds the matching (tool, program) scalar groups and
-// returns the number of contributing profiles.
+// combinedMeta folds the matching (tool, program) scalar groups in
+// sorted program order and returns the number of contributing
+// profiles.
 func (a *Aggregator) combinedMeta(tool, program string) (meta, uint64) {
 	var out meta
 	a.metaMu.Lock()
 	defer a.metaMu.Unlock()
-	for k, m := range a.metas {
-		if k.tool != tool || (program != "" && k.program != program) {
-			continue
+	// Fold in program order: float sums depend on the order of their
+	// additions, and map iteration order is random. The stack buffer
+	// keeps a query over a few programs allocation-free.
+	var buf [16]metaKey
+	keys := buf[:0]
+	for k := range a.metas {
+		if k.tool == tool && (program == "" || k.program == program) {
+			keys = append(keys, k)
 		}
+	}
+	slices.SortFunc(keys, func(x, y metaKey) int { return strings.Compare(x.program, y.program) })
+	for _, k := range keys {
+		m := a.metas[k]
 		out.profiles += m.profiles
 		out.waste += m.waste
 		out.use += m.use

@@ -1,7 +1,9 @@
 package agg
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"repro/witch"
 )
@@ -12,6 +14,12 @@ import (
 // whose every query answer is identical to the original's — the codec
 // carries the raw sums, so no merge is re-run and no float is re-added
 // in a different order.
+//
+// Order contract: Metas are strictly ascending by (Tool, Program) and
+// Pairs strictly ascending by (Tool, Program, Src, Dst, Chain), byte-
+// wise string order, no key twice. State produces this order, and
+// Scope's binary search depends on it: a State from anywhere else (a
+// decoded peer delta) must pass CheckOrder before it is scoped.
 type State struct {
 	Metas []MetaState
 	Pairs []PairState
@@ -72,27 +80,78 @@ func (a *Aggregator) State() *State {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(st.Metas, func(i, j int) bool {
-		if st.Metas[i].Tool != st.Metas[j].Tool {
-			return st.Metas[i].Tool < st.Metas[j].Tool
-		}
-		return st.Metas[i].Program < st.Metas[j].Program
-	})
-	sort.Slice(st.Pairs, func(i, j int) bool {
-		x, y := st.Pairs[i], st.Pairs[j]
-		switch {
-		case x.Tool != y.Tool:
-			return x.Tool < y.Tool
-		case x.Program != y.Program:
-			return x.Program < y.Program
-		case x.Src != y.Src:
-			return x.Src < y.Src
-		case x.Dst != y.Dst:
-			return x.Dst < y.Dst
-		}
-		return x.Chain < y.Chain
-	})
+	sort.Slice(st.Metas, func(i, j int) bool { return metaLess(&st.Metas[i], &st.Metas[j]) })
+	sort.Slice(st.Pairs, func(i, j int) bool { return pairStateLess(&st.Pairs[i], &st.Pairs[j]) })
 	return st
+}
+
+func metaLess(x, y *MetaState) bool {
+	if x.Tool != y.Tool {
+		return x.Tool < y.Tool
+	}
+	return x.Program < y.Program
+}
+
+func pairStateLess(x, y *PairState) bool {
+	switch {
+	case x.Tool != y.Tool:
+		return x.Tool < y.Tool
+	case x.Program != y.Program:
+		return x.Program < y.Program
+	case x.Src != y.Src:
+		return x.Src < y.Src
+	case x.Dst != y.Dst:
+		return x.Dst < y.Dst
+	}
+	return x.Chain < y.Chain
+}
+
+// CheckOrder reports the first row that breaks the State order
+// contract, in one linear pass.
+func (st *State) CheckOrder() error {
+	for i := 1; i < len(st.Metas); i++ {
+		if !metaLess(&st.Metas[i-1], &st.Metas[i]) {
+			m := &st.Metas[i]
+			return fmt.Errorf("agg: state meta %d (%q, %q) out of order", i, m.Tool, m.Program)
+		}
+	}
+	for i := 1; i < len(st.Pairs); i++ {
+		if !pairStateLess(&st.Pairs[i-1], &st.Pairs[i]) {
+			p := &st.Pairs[i]
+			return fmt.Errorf("agg: state pair %d (%q, %q, %q -> %q) out of order", i, p.Tool, p.Program, p.Src, p.Dst)
+		}
+	}
+	return nil
+}
+
+// Scope returns the rows of st for tool, or for (tool, program) when
+// program != "": sub-slices of st's own (capacity-clipped) arrays,
+// found by binary search under the order contract. Folding a scope
+// into an aggregator adds exactly the floats, in the same order, that
+// folding st adds to the rows the scope keeps.
+func (st *State) Scope(tool, program string) State {
+	ml, mh := span(len(st.Metas), func(i int) (string, string) {
+		return st.Metas[i].Tool, st.Metas[i].Program
+	}, tool, program)
+	pl, ph := span(len(st.Pairs), func(i int) (string, string) {
+		return st.Pairs[i].Tool, st.Pairs[i].Program
+	}, tool, program)
+	return State{Metas: st.Metas[ml:mh:mh], Pairs: st.Pairs[pl:ph:ph]}
+}
+
+// span is the [lo, hi) run of n ordered rows whose key matches tool,
+// and program too unless it is "".
+func span(n int, key func(i int) (tool, program string), tool, program string) (lo, hi int) {
+	cmp := func(i int) int {
+		t, p := key(i)
+		if c := strings.Compare(t, tool); c != 0 || program == "" {
+			return c
+		}
+		return strings.Compare(p, program)
+	}
+	lo = sort.Search(n, func(i int) bool { return cmp(i) >= 0 })
+	hi = lo + sort.Search(n-lo, func(i int) bool { return cmp(lo+i) > 0 })
+	return lo, hi
 }
 
 // MergeState folds a snapshot image into an existing aggregator —

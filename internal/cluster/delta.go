@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/agg"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -128,6 +129,27 @@ func (e *scatterEntry) apply(sd *ShardDelta) bool {
 		e.rev++
 	}
 	return changed
+}
+
+// checkOrder rejects a delta whose changed partitions break agg.State's
+// order contract: the coordinator folds each partition through
+// State.Scope's binary search, which would silently drop the rows of
+// an unsorted one. One linear pass over the changed partitions only.
+func checkOrder(d *store.ExportDelta) error {
+	if d.Export == nil {
+		return nil
+	}
+	if st := d.Export.Unkeyed; st != nil {
+		if err := st.CheckOrder(); err != nil {
+			return fmt.Errorf("unkeyed partition: %w", err)
+		}
+	}
+	for id, st := range d.Export.Parts {
+		if err := st.CheckOrder(); err != nil {
+			return fmt.Errorf("partition %q: %w", id, err)
+		}
+	}
+	return nil
 }
 
 func hintedEqual(a, b map[string][]string) bool {
@@ -250,6 +272,7 @@ func (r *Router) fetchShardDelta(ctx context.Context, peer, rawWindow string) Sh
 		return sr
 	}
 	r.scatterBytes.Add(uint64(len(raw)))
+	defer r.obs.StageSince(obs.StageScatterDecode, r.obs.Start())
 	sd := new(ShardDelta)
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(sd); err != nil {
 		sr.Err = fmt.Errorf("decoding shard delta: %w", err)
@@ -257,6 +280,10 @@ func (r *Router) fetchShardDelta(ctx context.Context, peer, rawWindow string) Sh
 	}
 	if sd.Delta == nil {
 		sr.Err = fmt.Errorf("shard delta from %s missing payload", peer)
+		return sr
+	}
+	if err := checkOrder(sd.Delta); err != nil {
+		sr.Err = fmt.Errorf("shard delta from %s: %w", peer, err)
 		return sr
 	}
 	if sd.Delta.Full {

@@ -2,10 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,5 +151,56 @@ func TestDeltaGenerationMismatchFullShips(t *testing.T) {
 	e.apply(&ShardDelta{Delta: d})
 	if got, want := foldExport(t, e.export), foldExport(t, st2.Export(0)); !bytes.Equal(got, want) {
 		t.Fatal("full-ship after generation change diverges")
+	}
+}
+
+// TestDeltaRejectsUnsortedPartition: a peer's changed partition that
+// breaks agg.State's order contract fails its leg, and the baseline is
+// left as it was, so the coordinator's binary-searched fold can never
+// silently drop the rows of a misordered State.
+func TestDeltaRejectsUnsortedPartition(t *testing.T) {
+	a := agg.New()
+	a.Merge(deltaProfile(rand.New(rand.NewSource(1)), "prog"))
+	a.Merge(deltaProfile(rand.New(rand.NewSource(2)), "prog"))
+	good := a.State()
+	if len(good.Pairs) < 2 {
+		t.Fatalf("test state has %d pairs, want >= 2", len(good.Pairs))
+	}
+	bad := a.State()
+	bad.Pairs[0], bad.Pairs[1] = bad.Pairs[1], bad.Pairs[0]
+
+	var serve *store.Export
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sd := &ShardDelta{Delta: &store.ExportDelta{
+			Full: true, Export: serve,
+			Ver: store.ExportVersion{Epochs: map[string]uint64{"p": 1}},
+		}}
+		if err := gob.NewEncoder(w).Encode(sd); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer peer.Close()
+	self := "http://10.0.0.1:9147"
+	r := mustRouter(t, Config{Self: self, Peers: []string{self, peer.URL}})
+
+	for _, c := range []struct {
+		name string
+		exp  *store.Export
+	}{
+		{"unkeyed", &store.Export{Unkeyed: bad}},
+		{"keyed", &store.Export{Parts: map[string]*agg.State{"p": good, "q": bad}}},
+	} {
+		serve = c.exp
+		sr := r.ScatterDeltas(context.Background(), "")[0]
+		if sr.Err == nil || !strings.Contains(sr.Err.Error(), "out of order") {
+			t.Fatalf("%s: misordered partition accepted (err %v)", c.name, sr.Err)
+		}
+		if e := r.scatterEntryFor(peer.URL, ""); e.export != nil || e.ver.Epochs != nil {
+			t.Fatalf("%s: rejected delta patched the baseline", c.name)
+		}
+	}
+	serve = &store.Export{Unkeyed: good, Parts: map[string]*agg.State{"p": good}}
+	if sr := r.ScatterDeltas(context.Background(), "")[0]; sr.Err != nil || sr.Export.Parts["p"] == nil {
+		t.Fatalf("ordered delta: err %v, export %+v", sr.Err, sr.Export)
 	}
 }

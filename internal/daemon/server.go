@@ -732,14 +732,33 @@ func (s *Server) gather(w http.ResponseWriter, r *http.Request) (g gathered, ok 
 	return g, true
 }
 
-// materialize pays the merge a gathered query describes. Holder choice
-// is the hint-aware selection documented on view.
+// materialize pays the merge a gathered query describes, folding from
+// each chosen State only the rows the response is built from: the
+// pairs of the query's tool (and program), and every meta of its tool
+// (/v1/top lists all of the tool's programs). Each kept row gets the
+// same float additions in the same order as in a fold of whole States,
+// so every rendered byte is the same; the fold and the render scan
+// just skip the rows no response reads.
 func (s *Server) materialize(g gathered) *agg.Aggregator {
 	defer s.cfg.Obs.StageSince(obs.StageFold, s.cfg.Obs.Start())
 	if g.local {
 		return s.st.Query(g.window)
 	}
 	view := agg.New()
+	for _, st := range s.foldOrder(g) {
+		sc := st.Scope(g.tool, g.program)
+		sc.Metas = st.Scope(g.tool, "").Metas
+		view.MergeState(&sc)
+	}
+	return view
+}
+
+// foldOrder lists the States a fleet query folds, in fold order: every
+// reachable peer's unkeyed partition in peer order, then one holder's
+// copy of each pusher partition in pusher-id order. Holder choice is
+// the hint-aware selection documented on view.
+func (s *Server) foldOrder(g gathered) []*agg.State {
+	var out []*agg.State
 	pushers := make(map[string]bool)
 	for _, peer := range s.cl.Peers() {
 		exp := g.exports[peer]
@@ -747,7 +766,7 @@ func (s *Server) materialize(g gathered) *agg.Aggregator {
 			continue
 		}
 		if exp.Unkeyed != nil {
-			view.MergeState(exp.Unkeyed)
+			out = append(out, exp.Unkeyed)
 		}
 		for id := range exp.Parts {
 			pushers[id] = true
@@ -778,9 +797,67 @@ func (s *Server) materialize(g gathered) *agg.Aggregator {
 				best, bestIdx = peer, idx
 			}
 		}
-		view.MergeState(g.exports[best].Parts[id])
+		out = append(out, g.exports[best].Parts[id])
 	}
-	return view
+	return out
+}
+
+// errNoProfiles is topBody's and profileBody's answer for a view with
+// no profile of the queried tool and program: a 404.
+var errNoProfiles = errors.New("no profiles in window")
+
+// topBody renders a /v1/top body from a materialized view. SnapshotTop
+// ranks only the n pairs the response carries — heap selection instead
+// of sorting the whole population.
+func topBody(view *agg.Aggregator, g gathered, n int) ([]byte, error) {
+	prof := view.SnapshotTop(g.tool, g.program, n)
+	if prof == nil {
+		return nil, errNoProfiles
+	}
+	out := map[string]any{
+		"tool":       g.tool,
+		"program":    prof.Program,
+		"programs":   view.Programs(g.tool),
+		"redundancy": prof.Redundancy,
+		"waste":      prof.Waste,
+		"use":        prof.Use,
+		"pairs":      prof.TopPairs(n),
+	}
+	if len(g.incomplete) > 0 {
+		out["incomplete"] = g.incomplete
+	}
+	body, err := json.Marshal(out)
+	if err != nil {
+		return nil, fmt.Errorf("encoding response: %w", err)
+	}
+	return append(body, '\n'), nil
+}
+
+// profileBody renders a /v1/profile body from a materialized view.
+// Compact on the wire: indented output is for files and humans; a
+// fleet dashboard polling /v1/profile pays ~2x bytes for indentation.
+func profileBody(view *agg.Aggregator, g gathered) ([]byte, error) {
+	prof := view.Snapshot(g.tool, g.program)
+	if prof == nil {
+		return nil, errNoProfiles
+	}
+	var buf bytes.Buffer
+	prof.WriteJSONCompact(&buf)
+	return buf.Bytes(), nil
+}
+
+// renderEntry wraps a rendered body for the response cache, answering
+// the error itself (and caching nothing) when rendering failed.
+func renderEntry(w http.ResponseWriter, g gathered, body []byte, err error) *respEntry {
+	switch {
+	case errors.Is(err, errNoProfiles):
+		httpError(w, http.StatusNotFound, "no profiles for tool %q (program %q) in window", g.tool, g.program)
+		return nil
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return nil
+	}
+	return &respEntry{ctype: "application/json", body: body}
 }
 
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
@@ -824,31 +901,8 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, respKey("top", g, strconv.Itoa(n)), func() *respEntry {
 		view := s.materialize(g)
 		defer o.StageSince(obs.StageRender, o.Start())
-		// SnapshotTop ranks only the n pairs the response carries —
-		// heap selection instead of sorting the whole population.
-		prof := view.SnapshotTop(g.tool, g.program, n)
-		if prof == nil {
-			httpError(w, http.StatusNotFound, "no profiles for tool %q (program %q) in window", g.tool, g.program)
-			return nil
-		}
-		out := map[string]any{
-			"tool":       g.tool,
-			"program":    prof.Program,
-			"programs":   view.Programs(g.tool),
-			"redundancy": prof.Redundancy,
-			"waste":      prof.Waste,
-			"use":        prof.Use,
-			"pairs":      prof.TopPairs(n),
-		}
-		if len(g.incomplete) > 0 {
-			out["incomplete"] = g.incomplete
-		}
-		body, err := json.Marshal(out)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
-			return nil
-		}
-		return &respEntry{ctype: "application/json", body: append(body, '\n')}
+		body, err := topBody(view, g, n)
+		return renderEntry(w, g, body, err)
 	})
 }
 
@@ -881,16 +935,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, respKey("profile", g, ""), func() *respEntry {
 		view := s.materialize(g)
 		defer o.StageSince(obs.StageRender, o.Start())
-		prof := view.Snapshot(g.tool, g.program)
-		if prof == nil {
-			httpError(w, http.StatusNotFound, "no profiles for tool %q (program %q) in window", g.tool, g.program)
-			return nil
-		}
-		// Compact on the wire: indented output is for files and humans; a
-		// fleet dashboard polling /v1/profile pays ~2x bytes for indentation.
-		var buf bytes.Buffer
-		prof.WriteJSONCompact(&buf)
-		return &respEntry{ctype: "application/json", body: buf.Bytes()}
+		body, err := profileBody(view, g)
+		return renderEntry(w, g, body, err)
 	})
 }
 

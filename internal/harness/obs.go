@@ -49,10 +49,13 @@ func Obs(w io.Writer, o Options) error {
 	// percent-level gap: at ~40ms a single descheduling tick reads as
 	// >10% "overhead" (the layer's real CPU cost never even samples in
 	// a profile). ~200ms reps with best-of-5 interleaving keep the 5%
-	// gate about the layer, not the OS.
+	// gate about the layer, not the OS. Quick runs relax the bound to
+	// 25% and double the batches, so even the fastest rep on a busy
+	// host stays above ~200ms: shorter reps or best of 2 read its
+	// jitter as more than 25%.
 	pushers, perPusher, reps, maxRatio := 8, 160, 5, 1.05
 	if o.Quick {
-		pushers, perPusher, reps, maxRatio = 4, 20, 2, 1.25
+		perPusher, maxRatio = 320, 1.25
 	}
 	prof, err := witch.Run(mustWorkload("listing3"), witch.Options{
 		Tool: witch.DeadStores, Period: 97, Seed: o.Seed,

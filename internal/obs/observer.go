@@ -36,7 +36,8 @@ const (
 	// StageQuery is the whole of one /v1/top or /v1/profile request.
 	StageQuery
 	// StageFold is the query-side merge (materialize) of the gathered
-	// exports into the answering view.
+	// exports into the answering view: holder selection, then each
+	// chosen partition's rows for the query's tool (and program).
 	StageFold
 	// StageExport is the local store export a query reads: the
 	// coordinator's own export in gather, and a peer's delta export
@@ -45,6 +46,10 @@ const (
 	// StageRender is the snapshot and encode of a materialized view
 	// into a /v1/top or /v1/profile body.
 	StageRender
+	// StageScatterDecode is one scatter leg's gob decode, order check and
+	// patch of the peer's baseline: the part of a StageScatter leg
+	// spent after the response body has arrived.
+	StageScatterDecode
 	// StageCacheHit / StageCacheMiss split query serving time by
 	// rendered-response-cache outcome.
 	StageCacheHit
@@ -66,6 +71,7 @@ var stageNames = [numStages]string{
 	"query_fold",
 	"query_export",
 	"query_render",
+	"scatter_decode",
 	"query_cache_hit",
 	"query_cache_miss",
 }
