@@ -618,17 +618,3 @@ func (a *Aggregator) PairCount() int {
 	}
 	return n
 }
-
-// Health returns the fleet-wide combined degradation record and the
-// number of profiles it covers.
-func (a *Aggregator) Health() (witch.Health, uint64) {
-	a.metaMu.Lock()
-	defer a.metaMu.Unlock()
-	var h witch.Health
-	var n uint64
-	for _, m := range a.metas {
-		h = MergeHealth(h, m.health)
-		n += m.profiles
-	}
-	return h, n
-}

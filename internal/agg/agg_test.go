@@ -263,7 +263,7 @@ func TestConcurrentMergeAndSnapshot(t *testing.T) {
 					_ = s.TopPairs(5)
 				}
 				_ = a.PairCount()
-				_, _ = a.Health()
+				_ = a.State()
 			}
 		}()
 	}

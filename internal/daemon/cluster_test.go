@@ -184,7 +184,7 @@ func TestClusterForwardIngest(t *testing.T) {
 	if !bytes.Equal(ack1, ack2) {
 		t.Fatalf("re-ack drifted:\n%s\n%s", ack1, ack2)
 	}
-	if nodes[owner].srv.st.Query(0).Profiles() != 1 {
+	if heldProfiles(nodes[owner].srv.st) != 1 {
 		t.Fatal("duplicate was re-merged on the owner")
 	}
 
@@ -297,7 +297,7 @@ func TestShardRoutes(t *testing.T) {
 		t.Fatalf("keyed ingest: HTTP %d", resp.StatusCode)
 	}
 	holder := nodes[0]
-	if nodes[1].srv.st.Query(0).Profiles() == 1 {
+	if heldProfiles(nodes[1].srv.st) == 1 {
 		holder = nodes[1]
 	}
 

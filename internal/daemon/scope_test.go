@@ -49,12 +49,12 @@ func randomPartition(rng *rand.Rand) *agg.State {
 	return a.State()
 }
 
-// randomGather builds a fleet query's gathered inputs over a 3-peer
-// ring: each pusher partition held by a random subset of peers (copies
+// randomGather builds a query's gathered inputs over the exporters
+// peers: each pusher partition held by a random subset of them (copies
 // differ, as diverged replicas do), random unkeyed partitions, random
-// hinters, and sometimes an unreachable peer.
+// hinters, and sometimes an unreachable exporter.
 func randomGather(rng *rand.Rand, peers []string) gathered {
-	g := gathered{exports: map[string]*store.Export{}, hinters: map[string]map[string]bool{}}
+	g := gathered{exporters: peers, exports: map[string]*store.Export{}, hinters: map[string]map[string]bool{}}
 	for _, peer := range peers {
 		if rng.Intn(6) == 0 {
 			continue // unreachable
@@ -84,50 +84,62 @@ func randomGather(rng *rand.Rand, peers []string) gathered {
 
 // TestMaterializeScopedMatchesUnscoped: materialize folds only the
 // query's rows of each State; every /v1/top and /v1/profile body must
-// equal the one rendered from a fold of the same States whole.
+// equal the one rendered from a fold of the same States whole. The
+// gathers are fleet reads over a 3-peer ring and local reads of one
+// exporter on a node with no ring, which fold through the same path.
 func TestMaterializeScopedMatchesUnscoped(t *testing.T) {
 	peers := []string{"http://node-a:1", "http://node-b:1", "http://node-c:1"}
 	r, err := cluster.New(cluster.Config{Self: peers[0], Peers: peers, ReplicationFactor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{cl: r}
 	tools := append([]string{"Absent", "Dea"}, scopeTools...)
 	programs := append([]string{"", "absent"}, scopePrograms...)
-	found := 0
-	for seed := int64(1); seed <= 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGather(rng, peers)
-		whole := agg.New()
-		for _, st := range s.foldOrder(g) {
-			whole.MergeState(st)
-		}
-		for _, g.tool = range tools {
-			for _, g.program = range programs {
-				scoped := s.materialize(g)
-				for _, n := range []int{1, 20, 0} {
-					want, werr := topBody(whole, g, n)
-					got, gerr := topBody(scoped, g, n)
-					if !bytes.Equal(got, want) || gerr != werr {
-						t.Fatalf("seed %d top(%q, %q, n=%d):\nscoped %s (%v)\nwhole  %s (%v)",
-							seed, g.tool, g.program, n, got, gerr, want, werr)
+	for _, c := range []struct {
+		name      string
+		s         *Server
+		exporters []string
+		minFound  int
+	}{
+		// 25 seeds x 3 present tools x 4 present program scopes, less the
+		// (tool, program) groups a seed happens not to hold.
+		{"fleet", &Server{cl: r}, peers, 200},
+		// One exporter holds less, and is unreachable for some seeds.
+		{"local", &Server{}, []string{""}, 150},
+	} {
+		s, found := c.s, 0
+		for seed := int64(1); seed <= 25; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := randomGather(rng, c.exporters)
+			whole := agg.New()
+			for _, st := range s.foldOrder(g) {
+				whole.MergeState(st)
+			}
+			for _, g.tool = range tools {
+				for _, g.program = range programs {
+					scoped := s.materialize(g)
+					for _, n := range []int{1, 20, 0} {
+						want, werr := topBody(whole, g, n)
+						got, gerr := topBody(scoped, g, n)
+						if !bytes.Equal(got, want) || gerr != werr {
+							t.Fatalf("%s seed %d top(%q, %q, n=%d):\nscoped %s (%v)\nwhole  %s (%v)",
+								c.name, seed, g.tool, g.program, n, got, gerr, want, werr)
+						}
 					}
-				}
-				want, werr := profileBody(whole, g)
-				got, gerr := profileBody(scoped, g)
-				if !bytes.Equal(got, want) || gerr != werr {
-					t.Fatalf("seed %d profile(%q, %q):\nscoped %s (%v)\nwhole  %s (%v)",
-						seed, g.tool, g.program, got, gerr, want, werr)
-				}
-				if werr == nil {
-					found++
+					want, werr := profileBody(whole, g)
+					got, gerr := profileBody(scoped, g)
+					if !bytes.Equal(got, want) || gerr != werr {
+						t.Fatalf("%s seed %d profile(%q, %q):\nscoped %s (%v)\nwhole  %s (%v)",
+							c.name, seed, g.tool, g.program, got, gerr, want, werr)
+					}
+					if werr == nil {
+						found++
+					}
 				}
 			}
 		}
-	}
-	// 25 seeds x 3 present tools x 4 present program scopes, less the
-	// (tool, program) groups a seed happens not to hold.
-	if found < 200 {
-		t.Fatalf("only %d of the compared views held any profile", found)
+		if found < c.minFound {
+			t.Fatalf("%s: only %d of the compared views held any profile", c.name, found)
+		}
 	}
 }

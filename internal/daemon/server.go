@@ -633,7 +633,9 @@ func queryWindow(r *http.Request) (time.Duration, error) {
 // can know they existed until it returns).
 //
 // scope=local bypasses the scatter (it is also how /v1/shard itself
-// stays local, so legs never recurse).
+// stays local, so legs never recurse). A local read, and every read of
+// a single node, is a fleet read of one exporter: this node's export is
+// the only one gathered and folded, in the same order.
 //
 // The work splits in two: gather collects the parameters, the local
 // export, and every peer's delta-patched export — after the first
@@ -644,10 +646,10 @@ func queryWindow(r *http.Request) (time.Duration, error) {
 //
 // gathered is one query's resolved inputs.
 type gathered struct {
-	local      bool // single node or scope=local: materialize via Store.Query
 	window     time.Duration
 	tool       string
 	program    string
+	exporters  []string // fold order: s.cl.Peers() for a fleet read, this node alone for a local one
 	exports    map[string]*store.Export
 	hinters    map[string]map[string]bool
 	incomplete []string
@@ -667,15 +669,25 @@ func (s *Server) gather(w http.ResponseWriter, r *http.Request) (g gathered, ok 
 	}
 	g.window = window
 	g.program = r.URL.Query().Get("program")
-	if s.cl == nil || r.URL.Query().Get("scope") == "local" {
-		g.local = true
+	local := s.cl == nil || r.URL.Query().Get("scope") == "local"
+	self := ""
+	if s.cl != nil {
+		self = s.cl.Self()
+	}
+	if local {
+		// The fingerprint is read before the export: a mutation between
+		// the two can only label fresher data with the older version.
 		g.fp = "local;" + s.localFingerprint(window)
+	}
+	t0 := s.cfg.Obs.Start()
+	g.exports = map[string]*store.Export{self: s.st.Export(window)}
+	s.cfg.Obs.StageSince(obs.StageExport, t0)
+	if local {
+		g.exporters = []string{self}
 		return g, true
 	}
+	g.exporters = s.cl.Peers()
 
-	t0 := s.cfg.Obs.Start()
-	g.exports = map[string]*store.Export{s.cl.Self(): s.st.Export(window)}
-	s.cfg.Obs.StageSince(obs.StageExport, t0)
 	// hinters[id] = reachable exporters with queued hints for pusher id.
 	g.hinters = make(map[string]map[string]bool)
 	noteHints := func(peer string, hinted map[string][]string) {
@@ -686,7 +698,7 @@ func (s *Server) gather(w http.ResponseWriter, r *http.Request) (g gathered, ok 
 			g.hinters[id][peer] = true
 		}
 	}
-	noteHints(s.cl.Self(), s.repl.hints.hintedPushers())
+	noteHints(self, s.repl.hints.hintedPushers())
 	var unreachable []string
 	legs := s.cl.ScatterDeltas(r.Context(), r.URL.Query().Get("window"))
 	for _, sr := range legs {
@@ -741,9 +753,6 @@ func (s *Server) gather(w http.ResponseWriter, r *http.Request) (g gathered, ok 
 // just skip the rows no response reads.
 func (s *Server) materialize(g gathered) *agg.Aggregator {
 	defer s.cfg.Obs.StageSince(obs.StageFold, s.cfg.Obs.Start())
-	if g.local {
-		return s.st.Query(g.window)
-	}
 	view := agg.New()
 	for _, st := range s.foldOrder(g) {
 		sc := st.Scope(g.tool, g.program)
@@ -753,14 +762,16 @@ func (s *Server) materialize(g gathered) *agg.Aggregator {
 	return view
 }
 
-// foldOrder lists the States a fleet query folds, in fold order: every
-// reachable peer's unkeyed partition in peer order, then one holder's
-// copy of each pusher partition in pusher-id order. Holder choice is
-// the hint-aware selection documented on view.
+// foldOrder lists the States a query folds, in fold order: every
+// reachable exporter's unkeyed partition in exporter order, then one
+// holder's copy of each pusher partition in pusher-id order. A
+// partition only one exporter holds (every partition of a local read)
+// is taken from it; otherwise holder choice is the hint-aware
+// selection documented on view.
 func (s *Server) foldOrder(g gathered) []*agg.State {
 	var out []*agg.State
 	pushers := make(map[string]bool)
-	for _, peer := range s.cl.Peers() {
+	for _, peer := range g.exporters {
 		exp := g.exports[peer]
 		if exp == nil {
 			continue
@@ -778,28 +789,43 @@ func (s *Server) foldOrder(g gathered) []*agg.State {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		// One holder per pusher: a hinter for this pusher beats every
-		// non-hinter (its copy subsumes the undrained destination's),
-		// then lowest preference index. Replicas and repaired copies of
-		// the same partition thus collapse to a single contribution
-		// instead of double-counting.
-		penalty := len(s.cl.Peers()) + 1
-		best, bestIdx := "", 2*penalty+1
-		for peer, exp := range g.exports {
-			if exp.Parts[id] == nil {
-				continue
-			}
-			idx := s.cl.PreferenceIndex(id, peer)
-			if len(g.hinters[id]) > 0 && !g.hinters[id][peer] {
-				idx += penalty
-			}
-			if idx < bestIdx {
-				best, bestIdx = peer, idx
-			}
-		}
-		out = append(out, g.exports[best].Parts[id])
+		out = append(out, g.exports[s.holder(g, id)].Parts[id])
 	}
 	return out
+}
+
+// holder picks the exporter whose copy of pusher id's partition a
+// fold takes. One holder per pusher: a hinter for this pusher beats
+// every non-hinter (its copy subsumes the undrained destination's),
+// then lowest preference index. Replicas and repaired copies of the
+// same partition thus collapse to a single contribution instead of
+// double-counting. The ring is consulted only when two or more
+// exporters hold the partition, which a local read never has.
+func (s *Server) holder(g gathered, id string) string {
+	only, held := "", 0
+	for _, peer := range g.exporters {
+		if exp := g.exports[peer]; exp != nil && exp.Parts[id] != nil {
+			only, held = peer, held+1
+		}
+	}
+	if held == 1 {
+		return only
+	}
+	penalty := len(g.exporters) + 1
+	best, bestIdx := "", 2*penalty+1
+	for _, peer := range g.exporters {
+		if exp := g.exports[peer]; exp == nil || exp.Parts[id] == nil {
+			continue
+		}
+		idx := s.cl.PreferenceIndex(id, peer)
+		if len(g.hinters[id]) > 0 && !g.hinters[id][peer] {
+			idx += penalty
+		}
+		if idx < bestIdx {
+			best, bestIdx = peer, idx
+		}
+	}
+	return best
 }
 
 // errNoProfiles is topBody's and profileBody's answer for a view with
@@ -877,32 +903,8 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	o := s.cfg.Obs
-	qStart := o.Start()
-	sp := o.StartSpan(r.Header.Get(obs.TraceHeader), "query")
-	if sp.Active() {
-		r = r.WithContext(obs.ContextWithSpan(r.Context(), sp.Context()))
-	}
-	g, ok := s.gather(w, r)
-	if !ok {
-		sp.End()
-		return
-	}
-	s.queries.Add(1)
-	defer func() {
-		if o == nil {
-			return
-		}
-		d := time.Since(qStart)
-		o.Stage(obs.StageQuery, d)
-		sp.End()
-		o.CaptureSlow("query", sp.Context(), "", 0, "top "+g.tool, qStart, d)
-	}()
-	s.serveCached(w, respKey("top", g, strconv.Itoa(n)), func() *respEntry {
-		view := s.materialize(g)
-		defer o.StageSince(obs.StageRender, o.Start())
-		body, err := topBody(view, g, n)
-		return renderEntry(w, g, body, err)
+	s.serveQuery(w, r, "top", strconv.Itoa(n), func(view *agg.Aggregator, g gathered) ([]byte, error) {
+		return topBody(view, g, n)
 	})
 }
 
@@ -911,6 +913,15 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
+	s.serveQuery(w, r, "profile", "", profileBody)
+}
+
+// serveQuery answers a validated /v1/top or /v1/profile request:
+// gather, then the rendered cache under respKey(endpoint, g, extra),
+// materializing and rendering on a miss. The query span, stage and
+// slow capture are labeled with endpoint.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint, extra string,
+	render func(view *agg.Aggregator, g gathered) ([]byte, error)) {
 	o := s.cfg.Obs
 	qStart := o.Start()
 	sp := o.StartSpan(r.Header.Get(obs.TraceHeader), "query")
@@ -930,12 +941,12 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		d := time.Since(qStart)
 		o.Stage(obs.StageQuery, d)
 		sp.End()
-		o.CaptureSlow("query", sp.Context(), "", 0, "profile "+g.tool, qStart, d)
+		o.CaptureSlow("query", sp.Context(), "", 0, endpoint+" "+g.tool, qStart, d)
 	}()
-	s.serveCached(w, respKey("profile", g, ""), func() *respEntry {
+	s.serveCached(w, respKey(endpoint, g, extra), func() *respEntry {
 		view := s.materialize(g)
 		defer o.StageSince(obs.StageRender, o.Start())
-		body, err := profileBody(view, g)
+		body, err := render(view, g)
 		return renderEntry(w, g, body, err)
 	})
 }

@@ -502,8 +502,7 @@ func TestConcurrentPushersWithEviction(t *testing.T) {
 		t.Fatalf("live pairs %d exceed retention bound %d", st.LivePairs, maxLive)
 	}
 	// Nothing lost: the all-time view accounts for every push.
-	all := srv.st.Query(0)
-	if got := all.Profiles(); got != pushers*perP {
+	if got := heldProfiles(srv.st); got != pushers*perP {
 		t.Fatalf("all-time view has %d profiles, want %d", got, pushers*perP)
 	}
 }

@@ -1,14 +1,14 @@
 // Query fast path: epoch-versioned memoization.
 //
-// Every read used to pay O(total state): Query re-merged every
-// partition of every live bucket per call, Export rebuilt the whole
-// scatter payload per fleet query, and /healthz re-folded all-time
-// history just to list tools. This file makes reads incremental. The
+// Every read used to pay O(total state): each one re-merged every
+// partition of every live bucket, Export rebuilt the whole scatter
+// payload per fleet query, and /healthz re-folded all-time history
+// just to list tools. This file makes reads incremental. The
 // store keeps one mutation epoch — a counter bumped by ingest,
 // fold/eviction, partition replacement, and restore — plus a
 // per-partition epoch vector recording the store epoch at each
 // partition's last mutation. Everything derived from the state
-// (Query, QueryPartition, Export, Stats) is cached keyed by the epoch
+// (Export, QueryPartition, Stats) is cached keyed by the epoch
 // it was built from and returned without re-merging while the epoch
 // is unchanged. Invalidation is epoch-compare, never TTL: a cached
 // result is served only when provably nothing changed, so cached and
@@ -69,12 +69,6 @@ const (
 	maxCachedWindows    = 32
 	maxCachedPartitions = 4096
 )
-
-type queryEntry struct {
-	epoch uint64
-	idx   int64
-	agg   *agg.Aggregator
-}
 
 type partEntry struct {
 	epoch uint64 // the partition's epoch, not the store's
@@ -212,9 +206,11 @@ func (s *Store) Version(window time.Duration) Version {
 // generation; restarts from a Restore reset it under a new Gen).
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
-// CacheStats counts cache traffic for /metrics. ExportPartsReused
-// and ExportPartsRebuilt count, over every export miss, the partitions
-// taken unchanged from the previous export and those merged afresh.
+// CacheStats counts cache traffic for /metrics. QueryHits and
+// QueryMisses count QueryPartition's all-time partition cache, the one
+// anti-entropy digests read. ExportPartsReused and ExportPartsRebuilt
+// count, over every export miss, the partitions taken unchanged from
+// the previous export and those merged afresh.
 type CacheStats struct {
 	QueryHits          uint64 `json:"query_hits"`
 	QueryMisses        uint64 `json:"query_misses"`
@@ -224,7 +220,7 @@ type CacheStats struct {
 	ExportPartsRebuilt uint64 `json:"export_parts_rebuilt"`
 }
 
-// CacheStats snapshots the query/export cache counters.
+// CacheStats snapshots the partition and export cache counters.
 func (s *Store) CacheStats() CacheStats {
 	return CacheStats{
 		QueryHits:          s.queryHits.Load(),
@@ -240,7 +236,6 @@ func (s *Store) CacheStats() CacheStats {
 // where the world changes wholesale under a new generation.
 func (s *Store) invalidateCaches() {
 	s.cacheMu.Lock()
-	s.queryCache = make(map[time.Duration]*queryEntry)
 	s.partCache = make(map[string]*partEntry)
 	s.exportCache = make(map[time.Duration]*exportEntry)
 	s.statsCache = nil
@@ -268,8 +263,8 @@ type VersionedExport struct {
 }
 
 // ExportVersioned is Export plus the version vector delta scatter
-// diffs against. Cached like Query: while (epoch, bucketIdx) are
-// unchanged, the same *VersionedExport comes back without re-merging.
+// diffs against. While (epoch, bucketIdx) are unchanged, the same
+// *VersionedExport comes back without re-merging.
 // A miss rebuilds only the partitions whose epochs moved since the
 // window's previous export; every other partition reuses that
 // export's *agg.State (see exportAt).

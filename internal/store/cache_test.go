@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/agg"
 	"repro/witch"
 )
 
@@ -31,22 +29,11 @@ func cacheProfile(program string, n int, seed int64) *witch.Profile {
 	}, pairs)
 }
 
-// aggJSON is the canonical byte form used to compare aggregators (gob
-// is unusable for this: type-registry ordering).
-func aggJSON(t *testing.T, a *agg.Aggregator) []byte {
-	t.Helper()
-	b, err := json.Marshal(a.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestQueryCacheHitsAndEpochInvalidation: repeated queries at one
-// epoch are served from cache (same pointer), every mutation class —
-// ingest, fold/eviction, ReplacePartition, snapshot restore —
-// invalidates, and the rebuilt result is byte-identical to an
-// uncached store fed the same history.
+// TestQueryCacheHitsAndEpochInvalidation: repeated exports at one
+// epoch are served from cache (same *VersionedExport), every mutation
+// class — ingest, fold/eviction, ReplacePartition, snapshot restore —
+// invalidates, and the rebuilt export is byte-identical to an uncached
+// store fed the same history.
 func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 	clock := time.Unix(1700000000, 0)
 	now := func() time.Time { return clock }
@@ -58,21 +45,25 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 		s.IngestKeyedAt(id, p, clock)
 		oracle.IngestKeyedAt(id, p, clock)
 	}
+	matchesOracle := func(s *Store, what string) {
+		t.Helper()
+		if !bytes.Equal(exportGob(t, s.Export(0)), exportGob(t, oracle.Export(0))) {
+			t.Fatalf("%s: export diverges from the uncached oracle", what)
+		}
+	}
 
 	ingestBoth("p1", "prog-a", 1)
 	ingestBoth("p2", "prog-b", 2)
 
-	q1 := s.Query(0)
-	if q2 := s.Query(0); q2 != q1 {
-		t.Fatal("repeat Query(0) at one epoch should return the cached aggregator")
+	v1 := s.ExportVersioned(0)
+	if v2 := s.ExportVersioned(0); v2 != v1 {
+		t.Fatal("repeat ExportVersioned(0) at one epoch should return the cached export")
 	}
 	cs := s.CacheStats()
-	if cs.QueryHits == 0 {
-		t.Fatalf("no query cache hit recorded: %+v", cs)
+	if cs.ExportHits == 0 {
+		t.Fatalf("no export cache hit recorded: %+v", cs)
 	}
-	if !bytes.Equal(aggJSON(t, q1), aggJSON(t, oracle.Query(0))) {
-		t.Fatal("cached query diverges from uncached oracle")
-	}
+	matchesOracle(s, "cached export")
 
 	// Ingest invalidates.
 	e0 := s.Epoch()
@@ -80,40 +71,34 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 	if s.Epoch() == e0 {
 		t.Fatal("ingest did not bump the epoch")
 	}
-	if q3 := s.Query(0); q3 == q1 {
-		t.Fatal("Query after ingest returned the stale cached aggregator")
+	if v3 := s.ExportVersioned(0); v3 == v1 {
+		t.Fatal("ExportVersioned after ingest returned the stale cached export")
 	}
-	if !bytes.Equal(aggJSON(t, s.Query(0)), aggJSON(t, oracle.Query(0))) {
-		t.Fatal("post-ingest query diverges from oracle")
-	}
+	matchesOracle(s, "post-ingest")
 
 	// Eviction (fold) invalidates: advance a full ring revolution (3
 	// buckets) so the next ingest reuses the original slot and folds
 	// its expired bucket into the rollup.
-	q4 := s.Query(0)
+	v4 := s.ExportVersioned(0)
 	clock = clock.Add(3 * time.Minute)
 	ingestBoth("p2", "prog-b", 4)
 	if s.Stats().EvictedBuckets == 0 {
 		t.Fatal("expected a folded bucket after jumping past the ring")
 	}
-	if q5 := s.Query(0); q5 == q4 {
-		t.Fatal("Query after fold returned the stale cached aggregator")
+	if v5 := s.ExportVersioned(0); v5 == v4 {
+		t.Fatal("ExportVersioned after fold returned the stale cached export")
 	}
-	if !bytes.Equal(aggJSON(t, s.Query(0)), aggJSON(t, oracle.Query(0))) {
-		t.Fatal("post-fold query diverges from oracle")
-	}
+	matchesOracle(s, "post-fold")
 
 	// ReplacePartition invalidates, and the replacement is visible.
-	qr := s.Query(0)
+	vr := s.ExportVersioned(0)
 	img := s.PartitionImage("p1")
 	s.ReplacePartition("p1", nil)
-	if s.Query(0) == qr {
-		t.Fatal("Query after partition removal returned the stale cached aggregator")
+	if s.ExportVersioned(0) == vr {
+		t.Fatal("ExportVersioned after partition removal returned the stale cached export")
 	}
 	s.ReplacePartition("p1", img)
-	if !bytes.Equal(aggJSON(t, s.Query(0)), aggJSON(t, oracle.Query(0))) {
-		t.Fatal("remove+reinstall round trip diverges from oracle")
-	}
+	matchesOracle(s, "remove+reinstall round trip")
 
 	// Snapshot restore: fresh store, fresh generation, same bytes.
 	var snap bytes.Buffer
@@ -128,38 +113,46 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 	if s2.gen.Load() == genBefore {
 		t.Fatal("Restore did not regenerate the store generation")
 	}
-	if !bytes.Equal(aggJSON(t, s2.Query(0)), aggJSON(t, oracle.Query(0))) {
-		t.Fatal("restored store diverges from oracle")
-	}
-	if got, want := s2.Tools(), oracle.Query(0).Tools(); !reflect.DeepEqual(got, want) {
+	matchesOracle(s2, "restored store")
+	if got, want := s2.Tools(), view(oracle, 0).Tools(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored tool set %v, want %v", got, want)
 	}
 }
 
-// TestWindowedCacheFollowsClock: a windowed query's cache entry is
+// TestWindowedCacheFollowsClock: a windowed export's cache entry is
 // valid only within one bucket quantum — moving the clock across a
 // bucket boundary must invalidate without any mutation.
 func TestWindowedCacheFollowsClock(t *testing.T) {
 	// Chosen so now-window starts exactly on a bucket boundary: the
 	// +10s step below stays inside one quantum, the +60s step crosses.
 	clock := time.Unix(1700000010, 0)
-	s := New(Config{Window: time.Minute, Buckets: 5, Now: func() time.Time { return clock }})
-	s.IngestKeyedAt("p1", cacheProfile("prog-a", 20, 1), clock)
+	now := func() time.Time { return clock }
+	s := New(Config{Window: time.Minute, Buckets: 5, Now: now})
+	oracle := New(Config{Window: time.Minute, Buckets: 5, Now: now, NoCache: true})
+	p := cacheProfile("prog-a", 20, 1)
+	s.IngestKeyedAt("p1", p, clock)
+	oracle.IngestKeyedAt("p1", p, clock)
 
 	w := 90 * time.Second
-	q1 := s.Query(w)
+	v1 := s.ExportVersioned(w)
 	clock = clock.Add(10 * time.Second) // same quantum
-	if s.Query(w) != q1 {
+	if s.ExportVersioned(w) != v1 {
 		t.Fatal("clock moved within a bucket quantum; cache should have held")
 	}
 	clock = clock.Add(time.Minute) // crosses a boundary
-	if s.Query(w) == q1 {
+	if s.ExportVersioned(w) == v1 {
 		t.Fatal("clock crossed a bucket boundary; cache should have invalidated")
+	}
+	if !bytes.Equal(exportGob(t, s.Export(w)), exportGob(t, oracle.Export(w))) {
+		t.Fatal("windowed export diverges from the uncached oracle")
 	}
 	// The ingested bucket ages out of the window entirely.
 	clock = clock.Add(5 * time.Minute)
-	if got := s.Query(w).PairCount(); got != 0 {
-		t.Fatalf("aged-out window still reports %d pairs", got)
+	if exp := s.Export(w); exp.Unkeyed != nil || len(exp.Parts) != 0 {
+		t.Fatalf("aged-out window still exports %d partitions", len(exp.Parts))
+	}
+	if !bytes.Equal(exportGob(t, s.Export(w)), exportGob(t, oracle.Export(w))) {
+		t.Fatal("aged-out windowed export diverges from the uncached oracle")
 	}
 }
 
@@ -236,9 +229,10 @@ func TestStoreCacheRace(t *testing.T) {
 				}
 				switch g % 4 {
 				case 0:
-					s.Query(0).PairCount()
+					view(s, 0).PairCount()
+					s.Health()
 				case 1:
-					s.Query(15 * time.Millisecond).PairCount()
+					view(s, 15*time.Millisecond).PairCount()
 				case 2:
 					s.QueryPartition("p0", 0).PairCount()
 				case 3:

@@ -11,13 +11,15 @@
 // aggregate a keyed batch lands in is addressable by its pusher ID, so
 // the replication layer can export, checksum, and replace exactly one
 // pusher's slice of history without touching its neighbours. The empty
-// key holds unkeyed (anonymous) ingest. Queries merge every partition,
-// so single-node behavior is unchanged by partitioning.
+// key holds unkeyed (anonymous) ingest.
 //
-// Queries select the live buckets overlapping a trailing window (plus
-// the rollup for unbounded queries) and merge them into a fresh
-// aggregator, so a query never blocks ingest for longer than the
-// per-shard locks it shares.
+// Reads go through Export: it selects the live buckets overlapping a
+// trailing window (plus the rollup for unbounded reads) and merges each
+// partition across them on its own, so a read never blocks ingest for
+// longer than the per-shard locks it shares. witchd folds those
+// partitions in one fixed order (unkeyed first, then pushers in id
+// order) on a single node and across a fleet alike, so a read's bytes
+// depend on what the partitions hold, never on map iteration order.
 package store
 
 import (
@@ -44,10 +46,11 @@ type Config struct {
 	Buckets int
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
-	// NoCache disables the epoch-versioned query/export memoization, so
-	// every read re-merges from scratch — the pre-fast-path behavior.
-	// Benchmarks use it as the oracle and baseline; epochs are still
-	// tracked so versioned exports keep working.
+	// NoCache disables the epoch-versioned export, partition and stats
+	// memoization, so every read re-merges from scratch — the
+	// pre-fast-path behavior. Benchmarks use it as the oracle and
+	// baseline; epochs are still tracked so versioned exports keep
+	// working.
 	NoCache bool
 }
 
@@ -125,13 +128,11 @@ type Store struct {
 	ingested       atomic.Uint64
 	evictedBuckets atomic.Uint64
 
-	// bucketHint and queryHint remember recent pair cardinalities —
-	// of the last expired bucket and the last Query result — so fresh
-	// aggregators pre-size their shard maps instead of growing them
-	// incrementally under the merge locks. Hints are advisory: a bad one
-	// costs memory or growth, never correctness.
+	// bucketHint remembers the last expired bucket's pair cardinality,
+	// so fresh buckets pre-size their shard maps instead of growing them
+	// incrementally under the merge locks. The hint is advisory: a bad
+	// one costs memory or growth, never correctness.
 	bucketHint atomic.Int64
-	queryHint  atomic.Int64
 
 	// gen and epoch version the state for the query fast path (see
 	// cache.go): gen identifies this store instance's lifetime (fresh
@@ -154,7 +155,6 @@ type Store struct {
 	// TTL) under cacheMu. The cached aggregators and exports are shared
 	// across callers: the returned values are read-only by contract.
 	cacheMu     sync.Mutex
-	queryCache  map[time.Duration]*queryEntry
 	partCache   map[string]*partEntry
 	exportCache map[time.Duration]*exportEntry
 	statsCache  *statsEntry
@@ -184,7 +184,6 @@ func New(cfg Config) *Store {
 		rollup:      make(map[string]*agg.Aggregator),
 		partEpochs:  make(map[string]uint64),
 		tools:       make(map[string]bool),
-		queryCache:  make(map[time.Duration]*queryEntry),
 		partCache:   make(map[string]*partEntry),
 		exportCache: make(map[time.Duration]*exportEntry),
 	}
@@ -318,71 +317,11 @@ func (s *Store) liveBuckets(window time.Duration, now time.Time) []*bucket {
 	return live
 }
 
-// Query returns the merged view of every partition of every bucket
-// overlapping the trailing window. window <= 0 means everything ever
-// ingested, including the rollup of evicted buckets; that path holds
-// the fold barrier so a bucket mid-eviction is counted exactly once
-// (from whichever side of the rollup it is on), never twice.
-//
-// The result is memoized: while the store's mutation epoch (and, for
-// windowed queries, the clock's bucket quantum) is unchanged, repeat
-// calls return the same aggregator without re-merging — which makes
-// the returned aggregator SHARED and read-only by contract. Callers
-// merge *from* it (Snapshot, Tools, Health, MergeFrom's source side),
-// never into it. Config.NoCache restores a fresh build per call.
-func (s *Store) Query(window time.Duration) *agg.Aggregator {
-	now := s.cfg.Now()
-	if s.cfg.NoCache {
-		return s.queryAt(window, now)
-	}
-	idx := s.bucketIdx(window, now)
-	e := s.epoch.Load() // read BEFORE building (see cache.go)
-	s.cacheMu.Lock()
-	if ent := s.queryCache[window]; ent != nil && ent.epoch == e && ent.idx == idx {
-		s.cacheMu.Unlock()
-		s.queryHits.Add(1)
-		return ent.agg
-	}
-	s.cacheMu.Unlock()
-	s.queryMisses.Add(1)
-	out := s.queryAt(window, now)
-	s.cacheMu.Lock()
-	if len(s.queryCache) >= maxCachedWindows {
-		s.queryCache = make(map[time.Duration]*queryEntry)
-	}
-	s.queryCache[window] = &queryEntry{epoch: e, idx: idx, agg: out}
-	s.cacheMu.Unlock()
-	return out
-}
-
-// queryAt is the uncached merge behind Query.
-func (s *Store) queryAt(window time.Duration, now time.Time) *agg.Aggregator {
-	out := agg.NewSized(int(s.queryHint.Load()))
-
-	if window <= 0 {
-		s.foldMu.Lock()
-		defer s.foldMu.Unlock()
-	}
-	live := s.liveBuckets(window, now)
-
-	if window <= 0 {
-		for _, a := range s.rollup {
-			out.MergeFrom(a)
-		}
-	}
-	for _, b := range live {
-		for _, a := range b.snapshotParts() {
-			out.MergeFrom(a)
-		}
-	}
-	s.queryHint.Store(int64(out.PairCount()))
-	return out
-}
-
-// QueryPartition is Query restricted to one pusher's partition. The
-// all-time view (window <= 0 — the shape anti-entropy digests poll
-// for every partition each round) is memoized against the partition's
-// own epoch; the result is shared and read-only like Query's.
+// QueryPartition merges pusher id's partition across the live buckets
+// overlapping the trailing window; window <= 0 adds the rollup under
+// the fold barrier. The all-time view (the shape anti-entropy digests
+// poll for every partition each round) is memoized against the
+// partition's own epoch, which makes the result shared and read-only.
 func (s *Store) QueryPartition(id string, window time.Duration) *agg.Aggregator {
 	now := s.cfg.Now()
 	if s.cfg.NoCache || window > 0 {
@@ -471,8 +410,11 @@ type Export struct {
 }
 
 // Export builds the per-partition window view. window <= 0 includes
-// the rollup under the fold barrier, like Query. Memoized via
-// ExportVersioned; the result is shared and read-only by contract.
+// the rollup under the fold barrier, so a bucket mid-eviction is
+// counted exactly once, from whichever side of the rollup it is on.
+// Every local and fleet read folds it (see internal/daemon's
+// foldOrder). Memoized via ExportVersioned; the result is shared and
+// read-only by contract.
 func (s *Store) Export(window time.Duration) *Export {
 	return s.ExportVersioned(window).Export
 }
@@ -945,7 +887,24 @@ func (s *Store) statsAt() Stats {
 }
 
 // Health combines the degradation records of everything held — live
-// buckets and rollup — and reports how many profiles contributed.
+// buckets and rollup — and reports how many profiles contributed. It
+// folds the all-time export's metas; agg.MergeHealth and the profile
+// count are integer and flag arithmetic, so partition order is moot.
 func (s *Store) Health() (witch.Health, uint64) {
-	return s.Query(0).Health()
+	var h witch.Health
+	var n uint64
+	add := func(st *agg.State) {
+		for i := range st.Metas {
+			h = agg.MergeHealth(h, st.Metas[i].Health)
+			n += st.Metas[i].Profiles
+		}
+	}
+	exp := s.Export(0)
+	if exp.Unkeyed != nil {
+		add(exp.Unkeyed)
+	}
+	for _, st := range exp.Parts {
+		add(st)
+	}
+	return h, n
 }

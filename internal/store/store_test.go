@@ -4,14 +4,35 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/witch"
 )
+
+// view folds a window's export into one aggregator the way witchd
+// reads a node: the unkeyed partition, then each pusher's in id order.
+func view(s *Store, window time.Duration) *agg.Aggregator {
+	exp := s.Export(window)
+	a := agg.New()
+	if exp.Unkeyed != nil {
+		a.MergeState(exp.Unkeyed)
+	}
+	ids := make([]string, 0, len(exp.Parts))
+	for id := range exp.Parts {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		a.MergeState(exp.Parts[id])
+	}
+	return a
+}
 
 // fakeClock is an injectable, race-safe clock.
 type fakeClock struct {
@@ -74,7 +95,7 @@ func TestRetentionEvictsAndRollsUp(t *testing.T) {
 		t.Fatalf("ingested %d, want %d", st.Ingested, windows)
 	}
 
-	all := s.Query(0)
+	all := view(s, 0)
 	if got := all.Profiles(); got != windows {
 		t.Fatalf("unbounded query sees %d profiles, want %d", got, windows)
 	}
@@ -94,15 +115,15 @@ func TestQueryWindowSelectsBuckets(t *testing.T) {
 	clk.advance(5 * time.Minute)
 	s.Ingest(synth("new", 2))
 
-	recent := s.Query(2*time.Minute).Snapshot("dead", "")
+	recent := view(s, 2*time.Minute).Snapshot("dead", "")
 	if recent == nil || recent.Waste != 2 {
 		t.Fatalf("trailing window should see only the new profile, got %+v", recent)
 	}
-	both := s.Query(10*time.Minute).Snapshot("dead", "")
+	both := view(s, 10*time.Minute).Snapshot("dead", "")
 	if both.Waste != 3 {
 		t.Fatalf("wide window should see both, got waste %g", both.Waste)
 	}
-	if s.Query(2*time.Minute).Snapshot("load", "") != nil {
+	if view(s, 2*time.Minute).Snapshot("load", "") != nil {
 		t.Fatal("unknown tool should be nil")
 	}
 }
@@ -119,7 +140,7 @@ func TestSameWindowMergesInPlace(t *testing.T) {
 	if st.LiveBuckets != 1 || st.EvictedBuckets != 0 {
 		t.Fatalf("stats = %+v, want one live bucket, no eviction", st)
 	}
-	if got := s.Query(0).Snapshot("dead", "").Waste; got != 40 {
+	if got := view(s, 0).Snapshot("dead", "").Waste; got != 40 {
 		t.Fatalf("in-bucket merge waste %g, want 40", got)
 	}
 }
@@ -154,7 +175,7 @@ func TestConcurrentIngestQueryEvict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if snap := s.Query(2*time.Minute).Snapshot("dead", ""); snap != nil {
+				if snap := view(s, 2*time.Minute).Snapshot("dead", ""); snap != nil {
 					_ = snap.TopPairs(3)
 				}
 				_ = s.Stats()
@@ -164,10 +185,10 @@ func TestConcurrentIngestQueryEvict(t *testing.T) {
 	wg.Wait()
 
 	const total = ingesters * perG
-	if got := s.Query(0).Profiles(); got != total {
+	if got := view(s, 0).Profiles(); got != total {
 		t.Fatalf("lost profiles across eviction: %d, want %d", got, total)
 	}
-	if got := s.Query(0).Snapshot("dead", "").Waste; got != 2*total {
+	if got := view(s, 0).Snapshot("dead", "").Waste; got != 2*total {
 		t.Fatalf("lost waste across eviction: %g, want %d", got, 2*total)
 	}
 	st := s.Stats()
@@ -211,8 +232,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored stats %+v, want %+v", got, want)
 	}
 	for _, window := range []time.Duration{0, 2 * time.Minute, 10 * time.Minute} {
-		a := s.Query(window).Snapshot("dead", "")
-		b := r.Query(window).Snapshot("dead", "")
+		a := view(s, window).Snapshot("dead", "")
+		b := view(r, window).Snapshot("dead", "")
 		if (a == nil) != (b == nil) {
 			t.Fatalf("window %v: presence drifted", window)
 		}
@@ -252,10 +273,10 @@ func TestSnapshotRestoreGeometryChange(t *testing.T) {
 	if _, _, err := r.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Query(0).Profiles(); got != n {
+	if got := view(r, 0).Profiles(); got != n {
 		t.Fatalf("all-time view lost profiles under reconfiguration: %d, want %d", got, n)
 	}
-	if got := r.Query(0).Snapshot("dead", "").Waste; got != 16*n {
+	if got := view(r, 0).Snapshot("dead", "").Waste; got != 16*n {
 		t.Fatalf("all-time waste %g, want %d", got, 16*n)
 	}
 }
@@ -325,7 +346,7 @@ func TestSnapshotRacesEviction(t *testing.T) {
 		if _, _, err := r.Restore(bytes.NewReader(snap)); err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		prof := r.Query(0).Snapshot("dead", "")
+		prof := view(r, 0).Snapshot("dead", "")
 		if prof == nil {
 			continue // taken before the first merge landed
 		}
@@ -340,10 +361,10 @@ func TestSnapshotRacesEviction(t *testing.T) {
 	if _, _, err := r.Restore(bytes.NewReader(final.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Query(0).Profiles(); got != n {
+	if got := view(r, 0).Profiles(); got != n {
 		t.Fatalf("final snapshot accounts for %d profiles, want %d", got, n)
 	}
-	if got := len(r.Query(0).Snapshot("dead", "").TopPairs(0)); got != n {
+	if got := len(view(r, 0).Snapshot("dead", "").TopPairs(0)); got != n {
 		t.Fatalf("final snapshot has %d pairs, want %d", got, n)
 	}
 	if st := r.Stats(); st.EvictedBuckets == 0 {
@@ -398,7 +419,7 @@ func TestSnapshotChecksumDetectsCorruption(t *testing.T) {
 	if anchor != 7 || string(extra) != "blob" {
 		t.Fatalf("legacy restore drifted: anchor=%d extra=%q", anchor, extra)
 	}
-	if got := r.Query(0).Profiles(); got != 6 {
+	if got := view(r, 0).Profiles(); got != 6 {
 		t.Fatalf("legacy restore lost profiles: %d", got)
 	}
 }
@@ -421,7 +442,7 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	if got := s.QueryPartition("alice", 0).Snapshot("dead", "").Waste; got != 10 {
 		t.Fatalf("alice partition waste %g, want 10 (isolation broken)", got)
 	}
-	if got := s.Query(0).Snapshot("dead", "").Waste; got != 60 {
+	if got := view(s, 0).Snapshot("dead", "").Waste; got != 60 {
 		t.Fatalf("merged query waste %g, want 60", got)
 	}
 
@@ -464,7 +485,7 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	if got := s2.QueryPartition("bob", 0).Snapshot("dead", "").Waste; got != 20 {
 		t.Fatalf("restored bob partition waste %g, want 20", got)
 	}
-	if got := s2.Query(0).Snapshot("dead", "").Waste; got != 60 {
+	if got := view(s2, 0).Snapshot("dead", "").Waste; got != 60 {
 		t.Fatalf("restored merged waste %g, want 60", got)
 	}
 }
