@@ -327,7 +327,7 @@ func TestScatterPartial(t *testing.T) {
 			t.Errorf("decoding delta request: %v", err)
 		}
 		gob.NewEncoder(w).Encode(&ShardDelta{Delta: &store.ExportDelta{
-			Full: true, Export: &store.Export{Unkeyed: a.State()},
+			Full: true, Export: &store.Export{Parts: map[string]*agg.State{"": a.State()}},
 		}})
 	}))
 	defer live.Close()

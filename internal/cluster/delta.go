@@ -78,45 +78,32 @@ func (r *Router) scatterEntryFor(peer, rawWindow string) *scatterEntry {
 // a later patch (which replaces map entries) cannot race a merge that
 // is still iterating this result. Callers must hold e.mu.
 func (e *scatterEntry) snapshot() (*store.Export, map[string][]string) {
-	out := &store.Export{Unkeyed: e.export.Unkeyed, Parts: make(map[string]*agg.State, len(e.export.Parts))}
+	out := &store.Export{Parts: make(map[string]*agg.State, len(e.export.Parts))}
 	for id, st := range e.export.Parts {
 		out.Parts[id] = st
 	}
 	return out, e.hinted
 }
 
-// apply patches the entry with one delta response and reports whether
-// the reconstructed view changed. Callers must hold e.mu.
+// apply patches the entry with one delta response (from
+// decodeShardDelta, which always sets Delta.Export) and reports
+// whether the reconstructed view changed. Callers must hold e.mu.
 func (e *scatterEntry) apply(sd *ShardDelta) bool {
 	d := sd.Delta
-	if d.Export == nil {
-		// gob omits zero values, so an empty delta (the steady-state
-		// answer) or an empty peer's full export arrives with no Export
-		// field at all.
-		d.Export = &store.Export{}
-	}
 	changed := false
 	if d.Full || e.export == nil {
-		e.export = &store.Export{Unkeyed: d.Export.Unkeyed, Parts: make(map[string]*agg.State, len(d.Export.Parts))}
+		e.export = &store.Export{Parts: make(map[string]*agg.State, len(d.Export.Parts))}
 		for id, st := range d.Export.Parts {
 			e.export.Parts[id] = st
 		}
 		changed = true
 	} else {
-		if d.Export.Unkeyed != nil {
-			e.export.Unkeyed = d.Export.Unkeyed
-			changed = true
-		}
 		for id, st := range d.Export.Parts {
 			e.export.Parts[id] = st
 			changed = true
 		}
 		for _, id := range d.Tombstones {
-			if id == "" {
-				e.export.Unkeyed = nil
-			} else {
-				delete(e.export.Parts, id)
-			}
+			delete(e.export.Parts, id)
 			changed = true
 		}
 	}
@@ -131,19 +118,46 @@ func (e *scatterEntry) apply(sd *ShardDelta) bool {
 	return changed
 }
 
+// decodeShardDelta reads one /v1/shard POST reply and rejects a delta
+// whose changed partitions fail checkOrder. It decodes into empty
+// maps, never nil ones: gob sizes a nil map by the entry count the
+// sender claims, so a few bytes could make the receiver allocate until
+// it dies, while a non-nil map makes every entry cost input bytes. gob
+// omits zero values, so an empty delta (the steady-state answer)
+// decodes to those empty maps.
+func decodeShardDelta(raw []byte) (*ShardDelta, error) {
+	sd := &ShardDelta{
+		Delta: &store.ExportDelta{
+			Export: &store.Export{Parts: map[string]*agg.State{}},
+			Ver:    store.ExportVersion{Epochs: map[string]uint64{}},
+		},
+		Hinted: map[string][]string{},
+	}
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(sd); err != nil {
+		return nil, fmt.Errorf("decoding: %w", err)
+	}
+	if err := checkOrder(sd.Delta); err != nil {
+		return nil, err
+	}
+	return sd, nil
+}
+
+// DecodeDeltaRequest reads one /v1/shard POST body, into an empty
+// epoch map for the reason decodeShardDelta gives. A first-contact
+// request still gets a full export: its zero Gen matches no store's.
+func DecodeDeltaRequest(r io.Reader) (DeltaRequest, error) {
+	req := DeltaRequest{Ver: store.ExportVersion{Epochs: map[string]uint64{}}}
+	if err := gob.NewDecoder(r).Decode(&req); err != nil {
+		return DeltaRequest{}, err
+	}
+	return req, nil
+}
+
 // checkOrder rejects a delta whose changed partitions break agg.State's
 // order contract: the coordinator folds each partition through
 // State.Scope's binary search, which would silently drop the rows of
 // an unsorted one. One linear pass over the changed partitions only.
 func checkOrder(d *store.ExportDelta) error {
-	if d.Export == nil {
-		return nil
-	}
-	if st := d.Export.Unkeyed; st != nil {
-		if err := st.CheckOrder(); err != nil {
-			return fmt.Errorf("unkeyed partition: %w", err)
-		}
-	}
 	for id, st := range d.Export.Parts {
 		if err := st.CheckOrder(); err != nil {
 			return fmt.Errorf("partition %q: %w", id, err)
@@ -226,9 +240,12 @@ func (r *Router) fetchShardDelta(ctx context.Context, peer, rawWindow string) Sh
 	e := r.scatterEntryFor(peer, rawWindow)
 	// Hold the entry across fetch+patch: concurrent queries to one peer
 	// serialize here, so a delta is always applied to the exact baseline
-	// its request vector described.
+	// its request vector described. The wait is its own stage, outside
+	// the leg's clock.
+	tw := r.obs.Start()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	r.obs.StageSince(obs.StageScatterWait, tw)
 
 	ctx, cancel := context.WithTimeout(ctx, r.queryTO)
 	defer cancel()
@@ -273,16 +290,8 @@ func (r *Router) fetchShardDelta(ctx context.Context, peer, rawWindow string) Sh
 	}
 	r.scatterBytes.Add(uint64(len(raw)))
 	defer r.obs.StageSince(obs.StageScatterDecode, r.obs.Start())
-	sd := new(ShardDelta)
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(sd); err != nil {
-		sr.Err = fmt.Errorf("decoding shard delta: %w", err)
-		return sr
-	}
-	if sd.Delta == nil {
-		sr.Err = fmt.Errorf("shard delta from %s missing payload", peer)
-		return sr
-	}
-	if err := checkOrder(sd.Delta); err != nil {
+	sd, err := decodeShardDelta(raw)
+	if err != nil {
 		sr.Err = fmt.Errorf("shard delta from %s: %w", peer, err)
 		return sr
 	}

@@ -37,13 +37,11 @@ func deltaProfile(rng *rand.Rand, program string) *witch.Profile {
 }
 
 // foldExport merges an export the way the daemon's materialize step
-// does (unkeyed plus every partition) and returns canonical JSON.
+// does (every partition in id order, unkeyed first) and returns
+// canonical JSON.
 func foldExport(t *testing.T, exp *store.Export) []byte {
 	t.Helper()
 	a := agg.New()
-	if exp.Unkeyed != nil {
-		a.MergeState(exp.Unkeyed)
-	}
 	ids := make([]string, 0, len(exp.Parts))
 	for id := range exp.Parts {
 		ids = append(ids, id)
@@ -111,7 +109,7 @@ func TestDeltaPatchingMatchesFullExport(t *testing.T) {
 			if d2.Full {
 				t.Fatalf("seed %d step %d: unchanged epochs answered with a full export", seed, step)
 			}
-			if d2.Export != nil && (d2.Export.Unkeyed != nil || len(d2.Export.Parts) > 0) || len(d2.Tombstones) > 0 {
+			if d2.Export != nil && len(d2.Export.Parts) > 0 || len(d2.Tombstones) > 0 {
 				t.Fatalf("seed %d step %d: unchanged epochs shipped partitions", seed, step)
 			}
 			rev := e.rev
@@ -187,7 +185,7 @@ func TestDeltaRejectsUnsortedPartition(t *testing.T) {
 		name string
 		exp  *store.Export
 	}{
-		{"unkeyed", &store.Export{Unkeyed: bad}},
+		{"unkeyed", &store.Export{Parts: map[string]*agg.State{"": bad}}},
 		{"keyed", &store.Export{Parts: map[string]*agg.State{"p": good, "q": bad}}},
 	} {
 		serve = c.exp
@@ -199,8 +197,41 @@ func TestDeltaRejectsUnsortedPartition(t *testing.T) {
 			t.Fatalf("%s: rejected delta patched the baseline", c.name)
 		}
 	}
-	serve = &store.Export{Unkeyed: good, Parts: map[string]*agg.State{"p": good}}
+	serve = &store.Export{Parts: map[string]*agg.State{"": good, "p": good}}
 	if sr := r.ScatterDeltas(context.Background(), "")[0]; sr.Err != nil || sr.Export.Parts["p"] == nil {
 		t.Fatalf("ordered delta: err %v, export %+v", sr.Err, sr.Export)
+	}
+}
+
+// TestDeltaEmptyPeerStaysDelta: a peer whose window holds no partition
+// answers steady-state polls with deltas, not full exports, once the
+// baseline's empty epoch vector has made the round trip through both
+// wire decoders (gob sends an empty non-nil map, and the vector's
+// presence is what tells the exporter the caller has a baseline).
+func TestDeltaEmptyPeerStaysDelta(t *testing.T) {
+	st := store.New(store.Config{Window: time.Minute, Buckets: 3})
+	e := &scatterEntry{}
+	for round := 0; round < 3; round++ {
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(&DeltaRequest{Ver: e.ver}); err != nil {
+			t.Fatal(err)
+		}
+		req, err := DecodeDeltaRequest(&body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := st.ExportDelta(0, req.Ver)
+		if got, want := d.Full, round == 0; got != want {
+			t.Fatalf("round %d: full export %v, want %v", round, got, want)
+		}
+		var reply bytes.Buffer
+		if err := gob.NewEncoder(&reply).Encode(&ShardDelta{Delta: d}); err != nil {
+			t.Fatal(err)
+		}
+		sd, err := decodeShardDelta(reply.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.apply(sd)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sync"
@@ -106,9 +107,24 @@ func (r *Router) FetchPartition(ctx context.Context, peer, pusherID string) (*Pa
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("partition query: %s", resp.Status)
 	}
+	return decodePartitionTransfer(resp.Body)
+}
+
+// decodePartitionTransfer reads one /v1/shard?pusher= reply and rejects
+// a transfer the store could not install. gob drops a nil pointer, so
+// a bucket can arrive with no State, and ReplacePartition would
+// dereference it.
+func decodePartitionTransfer(r io.Reader) (*PartitionTransfer, error) {
 	pt := new(PartitionTransfer)
-	if err := gob.NewDecoder(resp.Body).Decode(pt); err != nil {
+	if err := gob.NewDecoder(r).Decode(pt); err != nil {
 		return nil, fmt.Errorf("decoding partition transfer: %w", err)
+	}
+	if pt.Image != nil {
+		for i, b := range pt.Image.Buckets {
+			if b.State == nil {
+				return nil, fmt.Errorf("partition transfer: bucket %d has no state", i)
+			}
+		}
 	}
 	return pt, nil
 }

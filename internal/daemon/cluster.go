@@ -125,8 +125,8 @@ func (s *Server) handleShardDelta(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var dreq cluster.DeltaRequest
-	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)).Decode(&dreq); err != nil {
+	dreq, err := cluster.DecodeDeltaRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding delta request: %v", err)
 		return
 	}

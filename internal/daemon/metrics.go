@@ -62,8 +62,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("witchd_store_partitions", "Per-pusher partitions the store holds.", uint64(st.Partitions))
 
 	cst := s.st.CacheStats()
-	counter("witchd_store_query_cache_hits_total", "Store partition-digest cache hits (QueryPartition's all-time view).", cst.QueryHits)
-	counter("witchd_store_query_cache_misses_total", "Store partition-digest cache misses (QueryPartition's all-time view).", cst.QueryMisses)
+	// These two series counted a per-partition digest cache the store
+	// no longer keeps. They stay, at 0, so dashboards and scrapers that
+	// sum them keep working.
+	counter("witchd_store_query_cache_hits_total", "Always 0: the store's partition-digest cache is gone; digests read the export cache.", 0)
+	counter("witchd_store_query_cache_misses_total", "Always 0: the store's partition-digest cache is gone; digests read the export cache.", 0)
 	counter("witchd_store_export_cache_hits_total", "Store export cache hits.", cst.ExportHits)
 	counter("witchd_store_export_cache_misses_total", "Store export cache misses.", cst.ExportMisses)
 	counter("witchd_store_export_parts_reused_total", "Partitions an export miss took unchanged from the previous export.", cst.ExportPartsReused)

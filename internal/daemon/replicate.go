@@ -14,8 +14,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/wal"
 	"repro/witch"
 )
@@ -448,56 +450,72 @@ func (s *Server) adoptPartition(id string, pt *cluster.PartitionTransfer) {
 
 // digestLocal builds this node's anti-entropy digest: every pusher the
 // store or the dedup table knows, with its highest accepted sequence
-// and a checksum of the partition's merged state.
+// and a checksum of the partition's merged state. Every row reads one
+// all-time export. The anonymous partition is not addressable for
+// replication, so it has no row.
 func (s *Server) digestLocal() map[string]cluster.DigestEntry {
 	maxs := s.ded.MaxSeqs()
-	ids := make(map[string]bool, len(maxs))
+	exp := s.st.Export(0)
+	ids := make(map[string]bool, len(maxs)+len(exp.Parts))
 	for id := range maxs {
 		ids[id] = true
 	}
-	for _, id := range s.st.Partitions() {
+	for id := range exp.Parts {
 		ids[id] = true
 	}
+	delete(ids, "")
 	out := make(map[string]cluster.DigestEntry, len(ids))
 	for id := range ids {
-		n, sum := s.partitionFingerprint(id)
+		n, sum := partitionFingerprint(exp, id)
 		out[id] = cluster.DigestEntry{Max: maxs[id], N: n, Sum: sum}
 	}
 	return out
 }
 
 // digestEntry recomputes one pusher's digest row (after a repair pull).
+// Its export miss rebuilds only the adopted partition.
 func (s *Server) digestEntry(id string) cluster.DigestEntry {
 	max, _ := s.ded.WindowOf(id)
-	n, sum := s.partitionFingerprint(id)
+	n, sum := partitionFingerprint(s.st.Export(0), id)
 	return cluster.DigestEntry{Max: max, N: n, Sum: sum}
 }
 
-// partitionFingerprint returns one pusher partition's all-time merge
-// count and checksum: FNV-1a over its JSON encoding. agg.State is
-// deterministic — its slices are sorted and it contains no maps — and
-// JSON emits struct fields in declaration order, so equal data hashes
-// to equal sums on every node. (gob is unusable here: it numbers types
-// from a process-global registry in first-encode order, so two
-// processes with different encode histories gob identical values to
-// different bytes, and replicas would disagree about partitions they
-// hold byte-for-byte in common.) Replicas that merged the same batches
+// emptyPartition is what a pusher with no data anywhere in the store
+// (one the dedup table alone knows) fingerprints as.
+var emptyPartition = agg.New().State()
+
+// partitionFingerprint returns pusher id's merge count and checksum
+// from an all-time export: FNV-1a over its State's JSON encoding.
+// agg.State is deterministic — its slices are sorted and it contains
+// no maps — and JSON emits struct fields in declaration order, so
+// equal data hashes to equal sums on every node. (gob is unusable
+// here: it numbers types from a process-global registry in
+// first-encode order, so two processes with different encode histories
+// gob identical values to different bytes, and replicas would disagree
+// about partitions they hold byte-for-byte in common.) Replicas that merged the same batches
 // in a different order can still differ in float round-off; the one
 // redundant pull that triggers adopts the owner's image verbatim, after
 // which the sums are equal.
-func (s *Server) partitionFingerprint(id string) (uint64, string) {
-	part := s.st.QueryPartition(id, 0)
-	h := fnv.New64a()
-	if err := json.NewEncoder(h).Encode(part.State()); err != nil {
-		return part.Profiles(), "unencodable"
+func partitionFingerprint(exp *store.Export, id string) (uint64, string) {
+	st := exp.Parts[id]
+	if st == nil {
+		st = emptyPartition
 	}
-	return part.Profiles(), fmt.Sprintf("%016x", h.Sum64())
+	var n uint64
+	for i := range st.Metas {
+		n += st.Metas[i].Profiles
+	}
+	h := fnv.New64a()
+	if err := json.NewEncoder(h).Encode(st); err != nil {
+		return n, "unencodable"
+	}
+	return n, fmt.Sprintf("%016x", h.Sum64())
 }
 
 // partitionSum is the checksum half of partitionFingerprint (tests
 // compare convergence on it).
 func (s *Server) partitionSum(id string) string {
-	_, sum := s.partitionFingerprint(id)
+	_, sum := partitionFingerprint(s.st.Export(0), id)
 	return sum
 }
 

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -96,7 +97,7 @@ func TestReplicaAckAfterReplicate(t *testing.T) {
 	if got := nodes[follower].srv.st.Stats().Ingested; got != 1 {
 		t.Fatalf("follower store holds %d profiles, want 1", got)
 	}
-	if len(nodes[entry].srv.st.Partitions()) != 0 {
+	if len(nodes[entry].srv.st.Export(0).Parts) != 0 {
 		t.Fatal("non-member entry node kept a copy")
 	}
 	if os, fs := nodes[owner].srv.partitionSum(id), nodes[follower].srv.partitionSum(id); os != fs {
@@ -313,6 +314,117 @@ func TestAntiEntropyRepair(t *testing.T) {
 	}
 	if conflicts != 1 {
 		t.Fatalf("divergence not counted as a conflict: %d", conflicts)
+	}
+}
+
+// TestDigestMatchesNoCache: anti-entropy digests read the store's
+// all-time export. A node whose export is memoized and a NoCache twin
+// fed the same history — keyed batches across live buckets and the
+// rollup, one unkeyed batch, a pusher only the dedup table knows, an
+// adopted partition image, and a late batch — give equal digests at
+// every step, and neither lists the anonymous partition.
+func TestDigestMatchesNoCache(t *testing.T) {
+	open := func(noCache bool) *Server {
+		const self = "http://digest.test"
+		node, err := OpenNode(NodeConfig{
+			Store:       store.Config{Window: time.Minute, Buckets: 2, NoCache: noCache},
+			Cluster:     &cluster.Config{Self: self, Peers: []string{self, "http://127.0.0.1:1"}, ReplicationFactor: 2},
+			Replication: ReplicationConfig{DrainInterval: time.Hour, RepairInterval: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Kill)
+		return node.Server()
+	}
+	cached, oracle := open(false), open(true)
+	nodes := []*Server{cached, oracle}
+	base := time.Unix(1700000000, 0)
+	profs := []*witch.Profile{testProfile(t, 31), testProfile(t, 32), testProfile(t, 33)}
+	for _, srv := range nodes {
+		for i, at := range []time.Duration{0, time.Minute, 3 * time.Minute} {
+			srv.st.IngestKeyedAt("p0", profs[i], base.Add(at))
+			srv.ded.Mark("p0", uint64(i+1))
+		}
+		srv.st.IngestKeyedAt("p1", profs[1], base.Add(time.Minute))
+		srv.ded.Mark("p1", 1)
+		srv.st.IngestAt(profs[2], base.Add(3*time.Minute))
+		srv.ded.Mark("ghost", 7)
+	}
+	check := func(step string) map[string]cluster.DigestEntry {
+		t.Helper()
+		got, want := cached.digestLocal(), oracle.digestLocal()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: cached digest %v, NoCache digest %v", step, got, want)
+		}
+		if _, ok := got[""]; ok {
+			t.Fatalf("%s: digest lists the anonymous partition", step)
+		}
+		return got
+	}
+	d := check("seeded")
+	if d["p0"].N != 3 || d["p0"].Max != 3 || d["p1"].N != 1 {
+		t.Fatalf("digest rows %+v, want p0 N=3 Max=3 and p1 N=1", d)
+	}
+	if g := d["ghost"]; g.N != 0 || g.Max != 7 || g.Sum != cached.partitionSum("never-seen") {
+		t.Fatalf("dedup-only pusher row %+v, want N=0 Max=7 and the empty partition's sum", g)
+	}
+	check("memoized")
+	for _, srv := range nodes {
+		srv.st.ReplacePartition("p1", srv.st.PartitionImage("p0"))
+	}
+	if got, want := cached.digestEntry("p1"), oracle.digestEntry("p1"); got != want || got.Sum != d["p0"].Sum {
+		t.Fatalf("adopted row: cached %+v, NoCache %+v, want p0's sum %s", got, want, d["p0"].Sum)
+	}
+	check("adopted")
+	for _, srv := range nodes {
+		srv.st.IngestKeyedAt("p0", profs[2], base.Add(4*time.Minute))
+	}
+	check("late batch")
+}
+
+// TestRepairRejectsStatelessBucket: a partition transfer whose bucket
+// has no State (gob drops the nil pointer, so a peer can send one) is a
+// repair error, not an adoption. ReplacePartition would dereference
+// the missing State, and in witchd that panic kills the node from its
+// repair goroutine.
+func TestRepairRejectsStatelessBucket(t *testing.T) {
+	const id = "stateless-pusher"
+	const self = "http://repairer.test"
+	var ring string
+	peer := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/digest":
+			json.NewEncoder(w).Encode(cluster.Digest{Ring: ring, Pushers: map[string]cluster.DigestEntry{id: {Max: 1, N: 1, Sum: "x"}}})
+		case "/v1/shard":
+			gob.NewEncoder(w).Encode(&cluster.PartitionTransfer{DedupMax: 1, Image: &store.PartitionImage{
+				WindowNanos: int64(time.Minute),
+				Buckets:     []store.PartitionBucket{{StartUnixNano: time.Unix(1700000000, 0).UnixNano()}},
+			}})
+		default:
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	peerURL := "http://" + peer.Listener.Addr().String()
+	node, err := OpenNode(NodeConfig{
+		Cluster:     &cluster.Config{Self: self, Peers: []string{self, peerURL}, ReplicationFactor: 2},
+		Replication: ReplicationConfig{DrainInterval: time.Hour, RepairInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Kill)
+	srv := node.Server()
+	ring = srv.Cluster().RingHash()
+	peer.Start()
+	t.Cleanup(peer.Close)
+
+	srv.RepairNow(context.Background())
+	if rs := srv.ReplicationStats(); rs.RepairPulls != 0 || rs.RepairErrors != 1 {
+		t.Fatalf("stateless bucket: %+v, want no pull and one repair error", rs)
+	}
+	if parts := srv.st.Export(0).Parts; len(parts) != 0 {
+		t.Fatalf("rejected transfer left %d partitions in the store", len(parts))
 	}
 }
 

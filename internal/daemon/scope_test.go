@@ -61,7 +61,7 @@ func randomGather(rng *rand.Rand, peers []string) gathered {
 		}
 		exp := &store.Export{Parts: map[string]*agg.State{}}
 		if rng.Intn(2) == 0 {
-			exp.Unkeyed = randomPartition(rng)
+			exp.Parts[""] = randomPartition(rng)
 		}
 		g.exports[peer] = exp
 	}

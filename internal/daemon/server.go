@@ -762,34 +762,38 @@ func (s *Server) materialize(g gathered) *agg.Aggregator {
 	return view
 }
 
-// foldOrder lists the States a query folds, in fold order: every
-// reachable exporter's unkeyed partition in exporter order, then one
-// holder's copy of each pusher partition in pusher-id order. A
-// partition only one exporter holds (every partition of a local read)
-// is taken from it; otherwise holder choice is the hint-aware
-// selection documented on view.
+// foldOrder lists the States a query folds, in fold order: partitions
+// in id order, so the anonymous partition ("") comes first. It is
+// node-local and summed, so every reachable exporter's copy is taken,
+// in exporter order; each pusher partition is taken once, from one
+// holder. A partition only one exporter holds (every partition of a
+// local read) is taken from it; otherwise holder choice is the
+// hint-aware selection documented on view.
 func (s *Server) foldOrder(g gathered) []*agg.State {
-	var out []*agg.State
-	pushers := make(map[string]bool)
+	seen := make(map[string]bool)
 	for _, peer := range g.exporters {
-		exp := g.exports[peer]
-		if exp == nil {
-			continue
-		}
-		if exp.Unkeyed != nil {
-			out = append(out, exp.Unkeyed)
-		}
-		for id := range exp.Parts {
-			pushers[id] = true
+		if exp := g.exports[peer]; exp != nil {
+			for id := range exp.Parts {
+				seen[id] = true
+			}
 		}
 	}
-	ids := make([]string, 0, len(pushers))
-	for id := range pushers {
+	ids := make([]string, 0, len(seen))
+	for id := range seen {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	var out []*agg.State
 	for _, id := range ids {
-		out = append(out, g.exports[s.holder(g, id)].Parts[id])
+		if id != "" {
+			out = append(out, g.exports[s.holder(g, id)].Parts[id])
+			continue
+		}
+		for _, peer := range g.exporters {
+			if exp := g.exports[peer]; exp != nil && exp.Parts[""] != nil {
+				out = append(out, exp.Parts[""])
+			}
+		}
 	}
 	return out
 }

@@ -50,6 +50,10 @@ const (
 	// patch of the peer's baseline: the part of a StageScatter leg
 	// spent after the response body has arrived.
 	StageScatterDecode
+	// StageScatterWait is one scatter leg's wait for its (peer, window)
+	// baseline lock, which concurrent reads of the same window share;
+	// it ends before the StageScatter leg's clock starts.
+	StageScatterWait
 	// StageCacheHit / StageCacheMiss split query serving time by
 	// rendered-response-cache outcome.
 	StageCacheHit
@@ -72,6 +76,7 @@ var stageNames = [numStages]string{
 	"query_export",
 	"query_render",
 	"scatter_decode",
+	"scatter_wait",
 	"query_cache_hit",
 	"query_cache_miss",
 }

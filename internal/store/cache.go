@@ -7,12 +7,13 @@
 // store keeps one mutation epoch — a counter bumped by ingest,
 // fold/eviction, partition replacement, and restore — plus a
 // per-partition epoch vector recording the store epoch at each
-// partition's last mutation. Everything derived from the state
-// (Export, QueryPartition, Stats) is cached keyed by the epoch
-// it was built from and returned without re-merging while the epoch
-// is unchanged. Invalidation is epoch-compare, never TTL: a cached
-// result is served only when provably nothing changed, so cached and
-// uncached answers are byte-identical by construction.
+// partition's last mutation. The window export (ExportVersioned) is
+// the one memoized result: every query, anti-entropy digest and
+// /healthz fold reads it. It is cached keyed by the epoch it was built
+// from and returned without re-merging while the epoch is unchanged.
+// Invalidation is epoch-compare, never TTL: a cached result is served
+// only when provably nothing changed, so cached and uncached answers
+// are byte-identical by construction.
 //
 // Windowed results additionally depend on the clock: the live-bucket
 // filter admits bucket b while b.start+Window > now-window, and both
@@ -61,29 +62,16 @@ func nextGen() uint64 {
 	return uint64(time.Now().UnixNano()) + genCounter.Add(1)<<1
 }
 
-// Cache bounds: derived results are retained per distinct window (or
-// partition id) until the map would grow past these; then the whole
-// map is dropped and repopulated by demand. Real deployments query a
+// maxCachedWindows bounds the export memo: exports are retained per
+// distinct window until the map would grow past it; then the whole map
+// is dropped and repopulated by demand. Real deployments query a
 // handful of windows, so eviction is a safety valve, not a policy.
-const (
-	maxCachedWindows    = 32
-	maxCachedPartitions = 4096
-)
-
-type partEntry struct {
-	epoch uint64 // the partition's epoch, not the store's
-	agg   *agg.Aggregator
-}
+const maxCachedWindows = 32
 
 type exportEntry struct {
 	epoch uint64
 	idx   int64
 	ve    *VersionedExport
-}
-
-type statsEntry struct {
-	epoch uint64
-	stats Stats
 }
 
 // noteMutation advances the store epoch and stamps partition id with
@@ -206,25 +194,20 @@ func (s *Store) Version(window time.Duration) Version {
 // generation; restarts from a Restore reset it under a new Gen).
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
-// CacheStats counts cache traffic for /metrics. QueryHits and
-// QueryMisses count QueryPartition's all-time partition cache, the one
-// anti-entropy digests read. ExportPartsReused and ExportPartsRebuilt
-// count, over every export miss, the partitions taken unchanged from
-// the previous export and those merged afresh.
+// CacheStats counts export memo traffic for /metrics.
+// ExportPartsReused and ExportPartsRebuilt count, over every export
+// miss, the partitions taken unchanged from the previous export and
+// those merged afresh.
 type CacheStats struct {
-	QueryHits          uint64 `json:"query_hits"`
-	QueryMisses        uint64 `json:"query_misses"`
 	ExportHits         uint64 `json:"export_hits"`
 	ExportMisses       uint64 `json:"export_misses"`
 	ExportPartsReused  uint64 `json:"export_parts_reused"`
 	ExportPartsRebuilt uint64 `json:"export_parts_rebuilt"`
 }
 
-// CacheStats snapshots the partition and export cache counters.
+// CacheStats snapshots the export memo counters.
 func (s *Store) CacheStats() CacheStats {
 	return CacheStats{
-		QueryHits:          s.queryHits.Load(),
-		QueryMisses:        s.queryMisses.Load(),
 		ExportHits:         s.exportHits.Load(),
 		ExportMisses:       s.exportMisses.Load(),
 		ExportPartsReused:  s.exportPartsReused.Load(),
@@ -232,13 +215,11 @@ func (s *Store) CacheStats() CacheStats {
 	}
 }
 
-// invalidateCaches drops every memoized result — the Restore path,
+// invalidateCaches drops every memoized export — the Restore path,
 // where the world changes wholesale under a new generation.
 func (s *Store) invalidateCaches() {
 	s.cacheMu.Lock()
-	s.partCache = make(map[string]*partEntry)
 	s.exportCache = make(map[time.Duration]*exportEntry)
-	s.statsCache = nil
 	s.cacheMu.Unlock()
 }
 
@@ -301,14 +282,11 @@ func (s *Store) ExportVersioned(window time.Duration) *VersionedExport {
 	exp := s.exportAt(window, now, vec, prev)
 	ve := &VersionedExport{
 		Export: exp,
-		Ver:    ExportVersion{Gen: gen, BucketIdx: idx, Epochs: make(map[string]uint64, len(exp.Parts)+1)},
+		Ver:    ExportVersion{Gen: gen, BucketIdx: idx, Epochs: make(map[string]uint64, len(exp.Parts))},
 	}
 	// The vector covers exactly the partitions present in this window's
 	// export: absent ids read as 0 on the diff side, which re-ships
 	// them the moment they appear.
-	if exp.Unkeyed != nil {
-		ve.Ver.Epochs[""] = vec[""]
-	}
 	for id := range exp.Parts {
 		ve.Ver.Epochs[id] = vec[id]
 	}
@@ -333,9 +311,6 @@ func (ve *VersionedExport) unchanged(id string, vec map[string]uint64) *agg.Stat
 	}
 	if pe, ok := ve.Ver.Epochs[id]; !ok || pe != vec[id] {
 		return nil
-	}
-	if id == "" {
-		return ve.Export.Unkeyed
 	}
 	return ve.Export.Parts[id]
 }
@@ -365,10 +340,6 @@ func (s *Store) ExportDelta(window time.Duration, since ExportVersion) *ExportDe
 	out := &Export{Parts: make(map[string]*agg.State)}
 	for id, e := range ve.Ver.Epochs {
 		if since.Epochs[id] == e {
-			continue
-		}
-		if id == "" {
-			out.Unkeyed = ve.Export.Unkeyed
 			continue
 		}
 		out.Parts[id] = ve.Export.Parts[id]

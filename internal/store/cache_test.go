@@ -148,7 +148,7 @@ func TestWindowedCacheFollowsClock(t *testing.T) {
 	}
 	// The ingested bucket ages out of the window entirely.
 	clock = clock.Add(5 * time.Minute)
-	if exp := s.Export(w); exp.Unkeyed != nil || len(exp.Parts) != 0 {
+	if exp := s.Export(w); len(exp.Parts) != 0 {
 		t.Fatalf("aged-out window still exports %d partitions", len(exp.Parts))
 	}
 	if !bytes.Equal(exportGob(t, s.Export(w)), exportGob(t, oracle.Export(w))) {
@@ -234,7 +234,7 @@ func TestStoreCacheRace(t *testing.T) {
 				case 1:
 					view(s, 15*time.Millisecond).PairCount()
 				case 2:
-					s.QueryPartition("p0", 0).PairCount()
+					partition(s, "p0").PairCount()
 				case 3:
 					s.ExportVersioned(0)
 					s.Stats()

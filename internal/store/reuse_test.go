@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -18,14 +17,9 @@ import (
 func exportGob(t *testing.T, e *Export) []byte {
 	t.Helper()
 	c := struct {
-		Unkeyed *agg.State
-		IDs     []string
-		Parts   []*agg.State
-	}{Unkeyed: e.Unkeyed}
-	for id := range e.Parts {
-		c.IDs = append(c.IDs, id)
-	}
-	sort.Strings(c.IDs)
+		IDs   []string
+		Parts []*agg.State
+	}{IDs: sortedIDs(e)}
 	for _, id := range c.IDs {
 		c.Parts = append(c.Parts, e.Parts[id])
 	}
@@ -49,21 +43,14 @@ type deltaBaseline struct {
 func (b *deltaBaseline) apply(d *ExportDelta) {
 	next := &Export{Parts: make(map[string]*agg.State)}
 	if !d.Full && b.exp != nil {
-		next.Unkeyed = b.exp.Unkeyed
 		for id, st := range b.exp.Parts {
 			next.Parts[id] = st
 		}
-	}
-	if d.Export.Unkeyed != nil {
-		next.Unkeyed = d.Export.Unkeyed
 	}
 	for id, st := range d.Export.Parts {
 		next.Parts[id] = st
 	}
 	for _, id := range d.Tombstones {
-		if id == "" {
-			next.Unkeyed = nil
-		}
 		delete(next.Parts, id)
 	}
 	b.exp, b.ver = next, d.Ver
@@ -176,7 +163,7 @@ func TestExportReuseRebuildsOnlyChanged(t *testing.T) {
 	if got := cs.ExportPartsReused - before.ExportPartsReused; got != 4 {
 		t.Fatalf("reused %d partitions after one keyed ingest, want 4", got)
 	}
-	if second.Unkeyed != first.Unkeyed || second.Parts["p0"] != first.Parts["p0"] {
+	if second.Parts[""] != first.Parts[""] || second.Parts["p0"] != first.Parts["p0"] {
 		t.Fatal("unchanged partitions were not shared with the previous export")
 	}
 	if second.Parts["p2"] == first.Parts["p2"] {

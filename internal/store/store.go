@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,11 +45,10 @@ type Config struct {
 	Buckets int
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
-	// NoCache disables the epoch-versioned export, partition and stats
-	// memoization, so every read re-merges from scratch — the
-	// pre-fast-path behavior. Benchmarks use it as the oracle and
-	// baseline; epochs are still tracked so versioned exports keep
-	// working.
+	// NoCache disables the epoch-versioned export memo, so every read
+	// re-merges every partition from scratch — the pre-fast-path
+	// behavior. Benchmarks use it as the oracle and baseline; epochs are
+	// still tracked so versioned exports keep working.
 	NoCache bool
 }
 
@@ -151,16 +149,12 @@ type Store struct {
 	tools       map[string]bool
 	toolsSorted []string
 
-	// Memoized derived results, all validated by epoch-compare (never
-	// TTL) under cacheMu. The cached aggregators and exports are shared
-	// across callers: the returned values are read-only by contract.
+	// The export memo, validated by epoch-compare (never TTL) under
+	// cacheMu. Cached exports are shared across callers: they are
+	// read-only by contract.
 	cacheMu     sync.Mutex
-	partCache   map[string]*partEntry
 	exportCache map[time.Duration]*exportEntry
-	statsCache  *statsEntry
 
-	queryHits          atomic.Uint64
-	queryMisses        atomic.Uint64
 	exportHits         atomic.Uint64
 	exportMisses       atomic.Uint64
 	exportPartsReused  atomic.Uint64
@@ -184,7 +178,6 @@ func New(cfg Config) *Store {
 		rollup:      make(map[string]*agg.Aggregator),
 		partEpochs:  make(map[string]uint64),
 		tools:       make(map[string]bool),
-		partCache:   make(map[string]*partEntry),
 		exportCache: make(map[time.Duration]*exportEntry),
 	}
 	s.gen.Store(nextGen())
@@ -317,96 +310,12 @@ func (s *Store) liveBuckets(window time.Duration, now time.Time) []*bucket {
 	return live
 }
 
-// QueryPartition merges pusher id's partition across the live buckets
-// overlapping the trailing window; window <= 0 adds the rollup under
-// the fold barrier. The all-time view (the shape anti-entropy digests
-// poll for every partition each round) is memoized against the
-// partition's own epoch, which makes the result shared and read-only.
-func (s *Store) QueryPartition(id string, window time.Duration) *agg.Aggregator {
-	now := s.cfg.Now()
-	if s.cfg.NoCache || window > 0 {
-		return s.queryPartitionAt(id, window, now)
-	}
-	s.epochMu.Lock()
-	pe := s.partEpochs[id]
-	s.epochMu.Unlock()
-	s.cacheMu.Lock()
-	if ent := s.partCache[id]; ent != nil && ent.epoch == pe {
-		s.cacheMu.Unlock()
-		s.queryHits.Add(1)
-		return ent.agg
-	}
-	s.cacheMu.Unlock()
-	s.queryMisses.Add(1)
-	out := s.queryPartitionAt(id, window, now)
-	s.cacheMu.Lock()
-	if len(s.partCache) >= maxCachedPartitions {
-		s.partCache = make(map[string]*partEntry)
-	}
-	s.partCache[id] = &partEntry{epoch: pe, agg: out}
-	s.cacheMu.Unlock()
-	return out
-}
-
-// queryPartitionAt is the uncached merge behind QueryPartition.
-func (s *Store) queryPartitionAt(id string, window time.Duration, now time.Time) *agg.Aggregator {
-	out := agg.New()
-
-	if window <= 0 {
-		s.foldMu.Lock()
-		defer s.foldMu.Unlock()
-	}
-	live := s.liveBuckets(window, now)
-
-	if window <= 0 {
-		if a := s.rollup[id]; a != nil {
-			out.MergeFrom(a)
-		}
-	}
-	for _, b := range live {
-		b.mu.Lock()
-		a := b.parts[id]
-		b.mu.Unlock()
-		if a != nil {
-			out.MergeFrom(a)
-		}
-	}
-	return out
-}
-
-// Partitions lists the pusher IDs holding data anywhere in the store
-// (ring, pending folds, or rollup), sorted. The anonymous partition is
-// omitted: it is not addressable for replication.
-func (s *Store) Partitions() []string {
-	s.foldMu.Lock()
-	defer s.foldMu.Unlock()
-	seen := make(map[string]bool)
-	for id := range s.rollup {
-		seen[id] = true
-	}
-	for _, b := range s.liveBuckets(0, time.Time{}) {
-		b.mu.Lock()
-		for id := range b.parts {
-			seen[id] = true
-		}
-		b.mu.Unlock()
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		if id != "" {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Export is the per-partition view of a trailing window, the unit the
-// cluster scatter plane ships between nodes: the anonymous partition
-// plus every pusher partition, each already merged across buckets.
+// cluster scatter plane ships between nodes: every partition, each
+// already merged across buckets, keyed by pusher ID ("" is the
+// anonymous partition).
 type Export struct {
-	Unkeyed *agg.State
-	Parts   map[string]*agg.State
+	Parts map[string]*agg.State
 }
 
 // Export builds the per-partition window view. window <= 0 includes
@@ -462,10 +371,6 @@ func (s *Store) exportAt(window time.Duration, now time.Time, vec map[string]uin
 			}
 			st = acc.State()
 			rebuilt++
-		}
-		if id == "" {
-			out.Unkeyed = st
-			continue
 		}
 		out.Parts[id] = st
 	}
@@ -828,35 +733,9 @@ type Stats struct {
 	Partitions     int           `json:"partitions"`
 }
 
-// Stats snapshots the retention counters. Memoized: the expensive
-// part (walking every partition for pair counts) reruns only when the
-// epoch or the bucket-lifecycle counters moved. Eviction of a bucket
-// emptied by ReplacePartition bumps evictedBuckets without an epoch
-// bump, which is why the counters are part of the validity key.
+// Stats snapshots the retention counters, walking every partition for
+// its pair count. Only /metrics, /healthz and the harness call it.
 func (s *Store) Stats() Stats {
-	e := s.epoch.Load()
-	ing := s.ingested.Load()
-	ev := s.evictedBuckets.Load()
-	if !s.cfg.NoCache {
-		s.cacheMu.Lock()
-		if ent := s.statsCache; ent != nil && ent.epoch == e && ent.stats.Ingested == ing && ent.stats.EvictedBuckets == ev {
-			st := ent.stats
-			s.cacheMu.Unlock()
-			return st
-		}
-		s.cacheMu.Unlock()
-	}
-	st := s.statsAt()
-	if !s.cfg.NoCache {
-		s.cacheMu.Lock()
-		s.statsCache = &statsEntry{epoch: e, stats: st}
-		s.cacheMu.Unlock()
-	}
-	return st
-}
-
-// statsAt is the uncached walk behind Stats.
-func (s *Store) statsAt() Stats {
 	st := Stats{
 		Window:         s.cfg.Window,
 		RingSize:       s.cfg.Buckets,
@@ -893,18 +772,11 @@ func (s *Store) statsAt() Stats {
 func (s *Store) Health() (witch.Health, uint64) {
 	var h witch.Health
 	var n uint64
-	add := func(st *agg.State) {
+	for _, st := range s.Export(0).Parts {
 		for i := range st.Metas {
 			h = agg.MergeHealth(h, st.Metas[i].Health)
 			n += st.Metas[i].Profiles
 		}
-	}
-	exp := s.Export(0)
-	if exp.Unkeyed != nil {
-		add(exp.Unkeyed)
-	}
-	for _, st := range exp.Parts {
-		add(st)
 	}
 	return h, n
 }

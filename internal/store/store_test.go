@@ -16,22 +16,43 @@ import (
 )
 
 // view folds a window's export into one aggregator the way witchd
-// reads a node: the unkeyed partition, then each pusher's in id order.
+// reads a node: partitions in id order, the unkeyed one ("") first.
 func view(s *Store, window time.Duration) *agg.Aggregator {
 	exp := s.Export(window)
 	a := agg.New()
-	if exp.Unkeyed != nil {
-		a.MergeState(exp.Unkeyed)
+	for _, id := range sortedIDs(exp) {
+		a.MergeState(exp.Parts[id])
 	}
+	return a
+}
+
+// sortedIDs lists an export's partition ids in fold order.
+func sortedIDs(exp *Export) []string {
 	ids := make([]string, 0, len(exp.Parts))
 	for id := range exp.Parts {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	for _, id := range ids {
-		a.MergeState(exp.Parts[id])
+	return ids
+}
+
+// partition is pusher id's all-time partition, read from the export
+// (empty when the store holds none).
+func partition(s *Store, id string) *agg.Aggregator {
+	if st := s.Export(0).Parts[id]; st != nil {
+		return agg.FromState(st)
 	}
-	return a
+	return agg.New()
+}
+
+// partitions lists the pusher ids holding data anywhere in the store,
+// sorted, the anonymous partition left out.
+func partitions(s *Store) []string {
+	ids := sortedIDs(s.Export(0))
+	if len(ids) > 0 && ids[0] == "" {
+		ids = ids[1:]
+	}
+	return ids
 }
 
 // fakeClock is an injectable, race-safe clock.
@@ -436,10 +457,10 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	s.IngestKeyedAt("bob", synth("prog-b", 20), clk.now())
 	s.Ingest(synth("prog-anon", 30))
 
-	if got := s.Partitions(); len(got) != 2 || got[0] != "alice" || got[1] != "bob" {
-		t.Fatalf("Partitions() = %v, want [alice bob]", got)
+	if got := partitions(s); len(got) != 2 || got[0] != "alice" || got[1] != "bob" {
+		t.Fatalf("partitions = %v, want [alice bob]", got)
 	}
-	if got := s.QueryPartition("alice", 0).Snapshot("dead", "").Waste; got != 10 {
+	if got := partition(s, "alice").Snapshot("dead", "").Waste; got != 10 {
 		t.Fatalf("alice partition waste %g, want 10 (isolation broken)", got)
 	}
 	if got := view(s, 0).Snapshot("dead", "").Waste; got != 60 {
@@ -447,8 +468,8 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	}
 
 	exp := s.Export(0)
-	if exp.Unkeyed == nil || len(exp.Parts) != 2 {
-		t.Fatalf("export shape: unkeyed=%v parts=%d", exp.Unkeyed != nil, len(exp.Parts))
+	if exp.Parts[""] == nil || len(exp.Parts) != 3 {
+		t.Fatalf("export shape: unkeyed=%v parts=%d", exp.Parts[""] != nil, len(exp.Parts))
 	}
 
 	// Ship alice's image to a second store holding its own data.
@@ -460,13 +481,13 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	r.IngestKeyedAt("alice", synth("prog-stale", 99), clk.now())
 	r.IngestKeyedAt("carol", synth("prog-c", 5), clk.now())
 	r.ReplacePartition("alice", img)
-	if got := r.QueryPartition("alice", 0).Snapshot("dead", "").Waste; got != 10 {
+	if got := partition(r, "alice").Snapshot("dead", "").Waste; got != 10 {
 		t.Fatalf("replaced partition waste %g, want 10 (stale copy survived?)", got)
 	}
-	if r.QueryPartition("alice", 0).Snapshot("dead", "").Program == "prog-stale" {
+	if partition(r, "alice").Snapshot("dead", "").Program == "prog-stale" {
 		t.Fatal("replace merged instead of replacing")
 	}
-	if got := r.QueryPartition("carol", 0).Snapshot("dead", "").Waste; got != 5 {
+	if got := partition(r, "carol").Snapshot("dead", "").Waste; got != 5 {
 		t.Fatalf("neighbour partition disturbed: %g", got)
 	}
 
@@ -479,10 +500,10 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	if _, _, err := s2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Partitions(); len(got) != 2 {
+	if got := partitions(s2); len(got) != 2 {
 		t.Fatalf("partitions lost in snapshot round trip: %v", got)
 	}
-	if got := s2.QueryPartition("bob", 0).Snapshot("dead", "").Waste; got != 20 {
+	if got := partition(s2, "bob").Snapshot("dead", "").Waste; got != 20 {
 		t.Fatalf("restored bob partition waste %g, want 20", got)
 	}
 	if got := view(s2, 0).Snapshot("dead", "").Waste; got != 60 {
