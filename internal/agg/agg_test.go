@@ -71,19 +71,35 @@ func pairsEqual(t *testing.T, want, got []witch.Pair, context string) {
 	}
 }
 
+// stateOf merges profiles into one partition, in order, and returns
+// its State.
+func stateOf(profs ...*witch.Profile) *State {
+	var p Partition
+	for _, prof := range profs {
+		p.Merge(prof)
+	}
+	return p.State()
+}
+
+// viewOf folds States into a fresh view, in order.
+func viewOf(sts ...*State) *View {
+	var v View
+	for _, st := range sts {
+		v.Fold(*st)
+	}
+	return &v
+}
+
 // TestMergeIdentity: merging one profile and snapshotting it back is
 // lossless — same pairs in the same rank order, same scalars — which is
 // the single-source round-trip the acceptance criteria demand; and an
-// empty aggregator contributes nothing (merge with empty is identity).
+// empty State contributes nothing (merge with empty is identity).
 func TestMergeIdentity(t *testing.T) {
 	prof := run(t, 1)
-	a := New()
-	a.Merge(prof)
-	a.MergeFrom(New()) // identity: empty right operand
-
-	b := New()
-	b.MergeFrom(a) // identity: folding through another aggregator
-	for _, snap := range []*witch.Profile{a.Snapshot(prof.Tool, ""), b.Snapshot(prof.Tool, "")} {
+	st := stateOf(prof)
+	a := viewOf(Merge(st, &State{})) // identity: empty right operand
+	b := viewOf(Merge(&State{}, st)) // identity: empty left operand
+	for _, snap := range []*witch.Profile{a.SnapshotTop(prof.Tool, "", 0), b.SnapshotTop(prof.Tool, "", 0)} {
 		if snap == nil {
 			t.Fatal("nil snapshot")
 		}
@@ -112,10 +128,7 @@ func TestMergeIdentity(t *testing.T) {
 // aggregation. Doubling any float is exact, so equality is exact.
 func TestMergeSelfDoubles(t *testing.T) {
 	prof := run(t, 1)
-	a := New()
-	a.Merge(prof)
-	a.Merge(prof)
-	snap := a.Snapshot(prof.Tool, "")
+	snap := viewOf(stateOf(prof, prof)).SnapshotTop(prof.Tool, "", 0)
 
 	orig := prof.TopPairs(0)
 	got := snap.TopPairs(0)
@@ -142,37 +155,23 @@ func TestMergeSelfDoubles(t *testing.T) {
 	}
 }
 
-// TestMergeAssociative: ((p1⊕p2)⊕p3) == (p1⊕(p2⊕p3)) == one aggregator
-// fed all three, including across MergeFrom (shard-boundary) folds.
-// Exact equality holds because the synthetic metric values are small
-// integers times a power of two.
+// TestMergeAssociative: ((p1⊕p2)⊕p3) == (p1⊕(p2⊕p3)) == one partition
+// fed all three, including across Merge (State-to-State) folds and a
+// View fold. Exact equality holds because the synthetic metric values
+// are small integers times a power of two.
 func TestMergeAssociative(t *testing.T) {
 	p1 := synth("dead", "alpha", 1, 6)
 	p2 := synth("dead", "alpha", 0.5, 6)
 	p3 := synth("dead", "beta", 2, 4)
 
-	direct := New()
-	direct.Merge(p1)
-	direct.Merge(p2)
-	direct.Merge(p3)
+	direct := viewOf(stateOf(p1, p2, p3))
+	left := viewOf(Merge(stateOf(p1, p2), stateOf(p3)))  // (p1 ⊕ p2) ⊕ p3
+	right := viewOf(Merge(stateOf(p1), stateOf(p2, p3))) // p1 ⊕ (p2 ⊕ p3)
+	folded := viewOf(stateOf(p1), stateOf(p2, p3))
 
-	left := New() // (p1 ⊕ p2) ⊕ p3
-	l12 := New()
-	l12.Merge(p1)
-	l12.Merge(p2)
-	left.MergeFrom(l12)
-	left.Merge(p3)
-
-	right := New() // p1 ⊕ (p2 ⊕ p3)
-	r23 := New()
-	r23.Merge(p2)
-	r23.Merge(p3)
-	right.Merge(p1)
-	right.MergeFrom(r23)
-
-	want := direct.Snapshot("dead", "")
-	for name, a := range map[string]*Aggregator{"left-assoc": left, "right-assoc": right} {
-		got := a.Snapshot("dead", "")
+	want := direct.SnapshotTop("dead", "", 0)
+	for name, v := range map[string]*View{"left-assoc": left, "right-assoc": right, "view fold": folded} {
+		got := v.SnapshotTop("dead", "", 0)
 		pairsEqual(t, want.TopPairs(0), got.TopPairs(0), name)
 		if got.Waste != want.Waste || got.Use != want.Use || got.Redundancy != want.Redundancy {
 			t.Fatalf("%s: scalars differ: %g/%g/%g want %g/%g/%g", name,
@@ -181,7 +180,7 @@ func TestMergeAssociative(t *testing.T) {
 	}
 
 	// Program filter slices out exactly one program's contribution.
-	alpha := direct.Snapshot("dead", "alpha")
+	alpha := direct.SnapshotTop("dead", "alpha", 0)
 	if alpha.Waste != p1.Waste+p2.Waste {
 		t.Fatalf("program filter waste %g, want %g", alpha.Waste, p1.Waste+p2.Waste)
 	}
@@ -192,19 +191,17 @@ func TestMergeAssociative(t *testing.T) {
 
 // TestToolsAreRouted: profiles of different tools never cross-merge.
 func TestToolsAreRouted(t *testing.T) {
-	a := New()
-	a.Merge(synth("dead", "p", 1, 3))
-	a.Merge(synth("load", "p", 1, 5))
-	if got := a.Tools(); len(got) != 2 || got[0] != "dead" || got[1] != "load" {
-		t.Fatalf("tools = %v", got)
+	a := viewOf(stateOf(synth("dead", "p", 1, 3), synth("load", "p", 1, 5)))
+	if len(a.metas) != 2 || a.metas[0].Tool != "dead" || a.metas[1].Tool != "load" {
+		t.Fatalf("metas = %+v, want one per tool", a.metas)
 	}
-	if n := len(a.Snapshot("dead", "").TopPairs(0)); n != 3 {
+	if n := len(a.SnapshotTop("dead", "", 0).TopPairs(0)); n != 3 {
 		t.Fatalf("dead snapshot has %d pairs, want 3", n)
 	}
-	if n := len(a.Snapshot("load", "").TopPairs(0)); n != 5 {
+	if n := len(a.SnapshotTop("load", "", 0).TopPairs(0)); n != 5 {
 		t.Fatalf("load snapshot has %d pairs, want 5", n)
 	}
-	if a.Snapshot("silent", "") != nil {
+	if a.SnapshotTop("silent", "", 0) != nil {
 		t.Fatal("snapshot of unmerged tool should be nil")
 	}
 }
@@ -231,12 +228,12 @@ func TestMergeHealthCombination(t *testing.T) {
 	}
 }
 
-// TestConcurrentMergeAndSnapshot drives parallel ingest and query
-// against the shard locks; run under -race this is the aggregator's
-// half of the concurrency satellite.
+// TestConcurrentMergeAndSnapshot drives parallel ingest and compaction
+// against one partition's mutex; run under -race this is the
+// partition's half of the concurrency satellite.
 func TestConcurrentMergeAndSnapshot(t *testing.T) {
 	prof := run(t, 1)
-	a := New()
+	var a Partition
 	const (
 		writers = 8
 		perG    = 25
@@ -259,28 +256,31 @@ func TestConcurrentMergeAndSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if s := a.Snapshot("dead", ""); s != nil {
+				if s := viewOf(a.State()).SnapshotTop("dead", "", 0); s != nil {
 					_ = s.TopPairs(5)
 				}
-				_ = a.PairCount()
-				_ = a.State()
 			}
 		}()
 	}
 	wg.Wait()
+	v := viewOf(a.State())
 	want := uint64(writers * perG * 2)
-	if got := a.Profiles(); got != want {
+	var merged uint64
+	for _, m := range v.metas {
+		merged += m.Profiles
+	}
+	if got := merged; got != want {
 		t.Fatalf("merged %d profiles, want %d", got, want)
 	}
 	// The synthetic profiles ("dead") and the real ones (prof.Tool,
 	// "DeadCraft") are separate tool groups; neither may lose a merge.
 	merges := float64(writers * perG)
 	synthWant := merges * synth("dead", "x", 1, 8).Waste
-	if got := a.Snapshot("dead", "").Waste; got != synthWant {
+	if got := v.SnapshotTop("dead", "", 0).Waste; got != synthWant {
 		t.Fatalf("concurrent synth merge lost waste: %g, want %g", got, synthWant)
 	}
 	profWant := merges * prof.Waste
-	got := a.Snapshot(prof.Tool, "").Waste
+	got := v.SnapshotTop(prof.Tool, "", 0).Waste
 	if diff := got - profWant; diff > 1e-6*profWant || diff < -1e-6*profWant {
 		t.Fatalf("concurrent real merge lost waste: %g, want ~%g", got, profWant)
 	}

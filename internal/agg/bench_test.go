@@ -24,31 +24,33 @@ func benchProfile(b *testing.B) *witch.Profile {
 }
 
 // BenchmarkMerge is the steady-state ingest fold: re-merging a profile
-// whose pair streams already exist, which is what a fleet pushing the
-// same programs does after the first minute.
+// whose pair streams already exist into one store partition, which is
+// what a fleet pushing the same programs does after the first minute.
+// It includes the partition's amortized buffer compactions.
 func BenchmarkMerge(b *testing.B) {
 	prof := benchProfile(b)
-	a := agg.New()
-	a.Merge(prof)
+	var p agg.Partition
+	p.Merge(prof)
+	p.State()
 	b.ReportMetric(float64(len(prof.TopPairs(0))), "pairs/op")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Merge(prof)
+		p.Merge(prof)
 	}
 }
 
-// BenchmarkMergeFrom measures the bucket-fold path (retention eviction,
-// query-time ring merges): an aggregator-to-aggregator fold where the
-// precomputed hashes make re-hashing unnecessary.
-func BenchmarkMergeFrom(b *testing.B) {
+// BenchmarkRollupFold measures the retention fold: an expired bucket's
+// partition State merged into the rollup's in one linear pass, where
+// every key is already in the rollup.
+func BenchmarkRollupFold(b *testing.B) {
 	prof := benchProfile(b)
-	src := agg.New()
-	src.Merge(prof)
-	dst := agg.NewSized(src.PairCount())
-	dst.MergeFrom(src)
+	var p agg.Partition
+	p.Merge(prof)
+	bucket := p.State()
+	rollup := agg.Merge(bucket, bucket)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst.MergeFrom(src)
+		rollup = agg.Merge(rollup, bucket)
 	}
 }
 
@@ -56,18 +58,20 @@ func BenchmarkMergeFrom(b *testing.B) {
 // query path.
 func BenchmarkSnapshot(b *testing.B) {
 	prof := benchProfile(b)
-	a := agg.New()
-	a.Merge(prof)
+	var p agg.Partition
+	p.Merge(prof)
+	var v agg.View
+	v.Fold(*p.State())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if a.Snapshot(prof.Tool, prof.Program) == nil {
+		if v.SnapshotTop(prof.Tool, prof.Program, 0) == nil {
 			b.Fatal("empty snapshot")
 		}
 	}
 }
 
 // BenchmarkFoldScoped is a fleet read's fold: 64 partition States of
-// 3 tools x 6 programs x 10 pairs each merged into a fresh view,
+// 3 tools x 6 programs x 10 pairs each folded into a fresh view,
 // whole (all), cut to one tool, or cut to one (tool, program) — what
 // the daemon's materialize folds for /v1/top?tool=T[&program=P].
 func BenchmarkFoldScoped(b *testing.B) {
@@ -75,7 +79,7 @@ func BenchmarkFoldScoped(b *testing.B) {
 	tools := []string{"DeadCraft", "LoadCraft", "SilentCraft"}
 	states := make([]*agg.State, parts)
 	for p := range states {
-		a := agg.New()
+		var a agg.Partition
 		for ti, tool := range tools {
 			for prog := 0; prog < 6; prog++ {
 				ps := make([]witch.Pair, pairs)
@@ -103,15 +107,15 @@ func BenchmarkFoldScoped(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				view := agg.New()
-				for _, st := range states {
-					if c.tool == "" {
-						view.MergeState(st)
-						continue
+				sts := make([]agg.State, len(states))
+				for j, st := range states {
+					sts[j] = *st
+					if c.tool != "" {
+						sts[j] = st.Scope(c.tool, c.program)
 					}
-					sc := st.Scope(c.tool, c.program)
-					view.MergeState(&sc)
 				}
+				var view agg.View
+				view.Fold(sts...)
 			}
 		})
 	}

@@ -10,7 +10,7 @@ import (
 // scopeState builds an ordered State over tools that share a prefix
 // (Dead, DeadCraft) and programs a, b, c, with overlapping pair keys.
 func scopeState() *State {
-	a := New()
+	var a Partition
 	for _, tool := range []string{"Dead", "DeadCraft", "Load"} {
 		for _, prog := range []string{"a", "b", "c"} {
 			a.Merge(synth(tool, prog, 1.5, 4))
@@ -76,7 +76,7 @@ func TestStateScope(t *testing.T) {
 
 func TestStateCheckOrder(t *testing.T) {
 	if err := scopeState().CheckOrder(); err != nil {
-		t.Fatalf("State() output rejected: %v", err)
+		t.Fatalf("Partition.State output rejected: %v", err)
 	}
 	if err := (&State{}).CheckOrder(); err != nil {
 		t.Fatalf("empty state rejected: %v", err)
@@ -102,13 +102,14 @@ func TestStateCheckOrder(t *testing.T) {
 // the rendered body to be a function of the state.
 func TestSnapshotTopDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := New()
+	var part Partition
 	for i := 0; i < 12; i++ {
 		p := synth("Dead", fmt.Sprintf("prog%02d", i), 1, 3)
 		p.Waste = rng.Float64() * 1e3
 		p.Use = rng.Float64() * 1e3
-		a.Merge(p)
+		part.Merge(p)
 	}
+	a := viewOf(part.State())
 	render := func() []byte {
 		var buf bytes.Buffer
 		if err := a.SnapshotTop("Dead", "", 5).WriteJSONCompact(&buf); err != nil {

@@ -10,11 +10,11 @@ import (
 	"repro/witch"
 )
 
-// syntheticAgg builds an aggregator holding n distinct pairs with
-// colliding waste values (so tie-breaking paths are exercised).
-func syntheticAgg(n int, seed int64) *Aggregator {
+// syntheticAgg builds a view holding n distinct pairs with colliding
+// waste values (so tie-breaking paths are exercised).
+func syntheticAgg(n int, seed int64) *View {
 	rng := rand.New(rand.NewSource(seed))
-	a := NewSized(n)
+	var a Partition
 	const batch = 512
 	for off := 0; off < n; off += batch {
 		m := batch
@@ -38,7 +38,7 @@ func syntheticAgg(n int, seed int64) *Aggregator {
 			Waste: 1, Use: 1,
 		}, pairs))
 	}
-	return a
+	return viewOf(a.State())
 }
 
 // TestPairsForTopMatchesFullSort: the bounded-heap selection must
@@ -46,12 +46,12 @@ func syntheticAgg(n int, seed int64) *Aggregator {
 func TestPairsForTopMatchesFullSort(t *testing.T) {
 	for _, total := range []int{0, 1, 7, 100, 3000} {
 		a := syntheticAgg(total, int64(total)+1)
-		full := a.pairsFor(string(witch.DeadStores), "synthetic")
+		full := a.pairsForTop(string(witch.DeadStores), "synthetic", 0)
 		if len(full) != total {
-			t.Fatalf("pairsFor returned %d pairs, want %d", len(full), total)
+			t.Fatalf("pairsForTop(n=0) returned %d pairs, want %d", len(full), total)
 		}
 		if !sort.SliceIsSorted(full, func(i, j int) bool { return pairLess(&full[i], &full[j]) }) {
-			t.Fatalf("pairsFor output not sorted (total=%d)", total)
+			t.Fatalf("pairsForTop(n=0) output not sorted (total=%d)", total)
 		}
 		for _, n := range []int{1, 2, 3, 10, 20, total - 1, total, total + 5} {
 			if n <= 0 {
@@ -73,7 +73,7 @@ func TestPairsForTopMatchesFullSort(t *testing.T) {
 // snapshot with its pair list truncated — same meta, same JSON prefix.
 func TestSnapshotTopMatchesSnapshot(t *testing.T) {
 	a := syntheticAgg(500, 9)
-	full := a.Snapshot(string(witch.DeadStores), "synthetic")
+	full := a.SnapshotTop(string(witch.DeadStores), "synthetic", 0)
 	top := a.SnapshotTop(string(witch.DeadStores), "synthetic", 20)
 	if full == nil || top == nil {
 		t.Fatal("nil snapshot")

@@ -11,11 +11,11 @@ import (
 // topBenchAgg: 20k distinct pairs — big enough that full-sort vs
 // partial-selection separates cleanly, small enough for -benchtime
 // 1000x CI legs.
-func topBenchAgg(b *testing.B) *Aggregator {
+func topBenchAgg(b *testing.B) *View {
 	b.Helper()
 	const n = 20000
 	rng := rand.New(rand.NewSource(7))
-	a := NewSized(n)
+	var a Partition
 	pairs := make([]witch.Pair, 0, n)
 	for k := 0; k < n; k++ {
 		pairs = append(pairs, witch.Pair{
@@ -29,7 +29,7 @@ func topBenchAgg(b *testing.B) *Aggregator {
 	a.Merge(witch.NewProfile(witch.Profile{
 		Program: "bench", Tool: string(witch.DeadStores), Waste: 1, Use: 1,
 	}, pairs))
-	return a
+	return viewOf(a.State())
 }
 
 // BenchmarkTopPairsFullSort is the pre-fast-path /v1/top cost: rank
@@ -38,7 +38,7 @@ func BenchmarkTopPairsFullSort(b *testing.B) {
 	a := topBenchAgg(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := a.Snapshot(string(witch.DeadStores), "bench")
+		p := a.SnapshotTop(string(witch.DeadStores), "bench", 0)
 		if len(p.TopPairs(20)) != 20 {
 			b.Fatal("short result")
 		}

@@ -313,7 +313,7 @@ func TestForwardReachedOwnerKeepsThreshold(t *testing.T) {
 // TestScatterPartial: one live peer and one dead peer produce one
 // Export and one error — a partial gather, never a failed one.
 func TestScatterPartial(t *testing.T) {
-	a := agg.New()
+	var a agg.Partition
 	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/shard" || r.Method != http.MethodPost {
 			http.NotFound(w, r)

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -36,21 +37,20 @@ func deltaProfile(rng *rand.Rand, program string) *witch.Profile {
 	}, pairs)
 }
 
-// foldExport merges an export the way the daemon's materialize step
-// does (every partition in id order, unkeyed first) and returns
-// canonical JSON.
+// foldExport merges an export in the daemon's fold order (every
+// partition in id order, unkeyed first) and returns canonical JSON.
 func foldExport(t *testing.T, exp *store.Export) []byte {
 	t.Helper()
-	a := agg.New()
+	var st *agg.State
 	ids := make([]string, 0, len(exp.Parts))
 	for id := range exp.Parts {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		a.MergeState(exp.Parts[id])
+		st = agg.Merge(st, exp.Parts[id])
 	}
-	b, err := json.Marshal(a.State())
+	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestDeltaGenerationMismatchFullShips(t *testing.T) {
 // left as it was, so the coordinator's binary-searched fold can never
 // silently drop the rows of a misordered State.
 func TestDeltaRejectsUnsortedPartition(t *testing.T) {
-	a := agg.New()
+	var a agg.Partition
 	a.Merge(deltaProfile(rand.New(rand.NewSource(1)), "prog"))
 	a.Merge(deltaProfile(rand.New(rand.NewSource(2)), "prog"))
 	good := a.State()
 	if len(good.Pairs) < 2 {
 		t.Fatalf("test state has %d pairs, want >= 2", len(good.Pairs))
 	}
-	bad := a.State()
+	bad := &agg.State{Metas: good.Metas, Pairs: slices.Clone(good.Pairs)}
 	bad.Pairs[0], bad.Pairs[1] = bad.Pairs[1], bad.Pairs[0]
 
 	var serve *store.Export

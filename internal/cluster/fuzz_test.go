@@ -198,10 +198,9 @@ func FuzzShardDelta(f *testing.F) {
 		e.apply(base)
 		e.apply(sd)
 		exp, hinted := e.snapshot()
-		view := agg.New()
+		var view agg.View
 		for _, st := range exp.Parts {
-			sc := st.Scope("DeadCraft", "prog")
-			view.MergeState(&sc)
+			view.Fold(st.Scope("DeadCraft", "prog"))
 		}
 		if !sd.Delta.Full {
 			return

@@ -113,17 +113,29 @@ func (r *Router) FetchPartition(ctx context.Context, peer, pusherID string) (*Pa
 // decodePartitionTransfer reads one /v1/shard?pusher= reply and rejects
 // a transfer the store could not install. gob drops a nil pointer, so
 // a bucket can arrive with no State, and ReplacePartition would
-// dereference it.
+// dereference it. Every State must also pass agg.State.CheckOrder:
+// ReplacePartition adopts them as sorted bases and merges them
+// linearly, which would silently mis-merge a misordered or duplicate-
+// key State.
 func decodePartitionTransfer(r io.Reader) (*PartitionTransfer, error) {
 	pt := new(PartitionTransfer)
 	if err := gob.NewDecoder(r).Decode(pt); err != nil {
 		return nil, fmt.Errorf("decoding partition transfer: %w", err)
 	}
-	if pt.Image != nil {
-		for i, b := range pt.Image.Buckets {
-			if b.State == nil {
-				return nil, fmt.Errorf("partition transfer: bucket %d has no state", i)
-			}
+	if pt.Image == nil {
+		return pt, nil
+	}
+	if st := pt.Image.Rollup; st != nil {
+		if err := st.CheckOrder(); err != nil {
+			return nil, fmt.Errorf("partition transfer: rollup: %w", err)
+		}
+	}
+	for i, b := range pt.Image.Buckets {
+		if b.State == nil {
+			return nil, fmt.Errorf("partition transfer: bucket %d has no state", i)
+		}
+		if err := b.State.CheckOrder(); err != nil {
+			return nil, fmt.Errorf("partition transfer: bucket %d: %w", i, err)
 		}
 	}
 	return pt, nil

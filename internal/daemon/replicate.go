@@ -482,7 +482,7 @@ func (s *Server) digestEntry(id string) cluster.DigestEntry {
 
 // emptyPartition is what a pusher with no data anywhere in the store
 // (one the dedup table alone knows) fingerprints as.
-var emptyPartition = agg.New().State()
+var emptyPartition agg.State
 
 // partitionFingerprint returns pusher id's merge count and checksum
 // from an all-time export: FNV-1a over its State's JSON encoding.
@@ -499,7 +499,7 @@ var emptyPartition = agg.New().State()
 func partitionFingerprint(exp *store.Export, id string) (uint64, string) {
 	st := exp.Parts[id]
 	if st == nil {
-		st = emptyPartition
+		st = &emptyPartition
 	}
 	var n uint64
 	for i := range st.Metas {

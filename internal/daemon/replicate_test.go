@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/cluster"
 	"repro/internal/store"
 	"repro/witch"
@@ -389,7 +390,44 @@ func TestDigestMatchesNoCache(t *testing.T) {
 // the missing State, and in witchd that panic kills the node from its
 // repair goroutine.
 func TestRepairRejectsStatelessBucket(t *testing.T) {
-	const id = "stateless-pusher"
+	repairRejects(t, "stateless bucket", &store.PartitionImage{
+		WindowNanos: int64(time.Minute),
+		Buckets:     []store.PartitionBucket{{StartUnixNano: time.Unix(1700000000, 0).UnixNano()}},
+	})
+}
+
+// TestRepairRejectsMisorderedImage: a partition transfer holding a
+// State that breaks the agg.State order contract — in a bucket or in
+// the rollup, misordered or with a key twice — is a repair error, not
+// an adoption. The store adopts image States as sorted bases and merges
+// them linearly, so an unchecked one would silently mis-merge: rows
+// summed under the wrong key or held twice.
+func TestRepairRejectsMisorderedImage(t *testing.T) {
+	src := store.New(store.Config{Window: time.Minute, Buckets: 4})
+	start := time.Unix(1700000000, 0)
+	for i := 0; i < 3; i++ {
+		src.IngestKeyedAt("p", witch.NewProfile(witch.Profile{Program: "prog", Tool: "dead", Waste: 3, Use: 1}, []witch.Pair{
+			{Src: "a", Dst: "b", Chain: "a->b", Waste: 1, Use: 0.5},
+			{Src: "c", Dst: "d", Chain: "c->d", Waste: 2, Use: 0.5},
+		}), start)
+	}
+	good := src.PartitionImage("p").Buckets[0].State
+	swapped := &agg.State{Metas: good.Metas, Pairs: []agg.PairState{good.Pairs[1], good.Pairs[0]}}
+	twice := &agg.State{Metas: good.Metas, Pairs: []agg.PairState{good.Pairs[0], good.Pairs[0]}}
+	bucket := func(st *agg.State) []store.PartitionBucket {
+		return []store.PartitionBucket{{StartUnixNano: start.UnixNano(), State: st}}
+	}
+	repairRejects(t, "misordered bucket", &store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(swapped)})
+	repairRejects(t, "duplicate-key bucket", &store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(twice)})
+	repairRejects(t, "duplicate-key rollup", &store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(good), Rollup: twice})
+}
+
+// repairRejects runs one repair round against a peer that offers img
+// for a pusher this node lacks, and requires the transfer to be
+// counted as a repair error and leave the store empty.
+func repairRejects(t *testing.T, name string, img *store.PartitionImage) {
+	t.Helper()
+	const id = "rejected-pusher"
 	const self = "http://repairer.test"
 	var ring string
 	peer := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -397,10 +435,7 @@ func TestRepairRejectsStatelessBucket(t *testing.T) {
 		case "/v1/digest":
 			json.NewEncoder(w).Encode(cluster.Digest{Ring: ring, Pushers: map[string]cluster.DigestEntry{id: {Max: 1, N: 1, Sum: "x"}}})
 		case "/v1/shard":
-			gob.NewEncoder(w).Encode(&cluster.PartitionTransfer{DedupMax: 1, Image: &store.PartitionImage{
-				WindowNanos: int64(time.Minute),
-				Buckets:     []store.PartitionBucket{{StartUnixNano: time.Unix(1700000000, 0).UnixNano()}},
-			}})
+			gob.NewEncoder(w).Encode(&cluster.PartitionTransfer{DedupMax: 1, Image: img})
 		default:
 			w.WriteHeader(http.StatusNotFound)
 		}
@@ -421,10 +456,10 @@ func TestRepairRejectsStatelessBucket(t *testing.T) {
 
 	srv.RepairNow(context.Background())
 	if rs := srv.ReplicationStats(); rs.RepairPulls != 0 || rs.RepairErrors != 1 {
-		t.Fatalf("stateless bucket: %+v, want no pull and one repair error", rs)
+		t.Fatalf("%s: %+v, want no pull and one repair error", name, rs)
 	}
 	if parts := srv.st.Export(0).Parts; len(parts) != 0 {
-		t.Fatalf("rejected transfer left %d partitions in the store", len(parts))
+		t.Fatalf("%s: rejected transfer left %d partitions in the store", name, len(parts))
 	}
 }
 

@@ -24,7 +24,7 @@ var (
 // tools and programs with non-whole metrics over a small pair
 // vocabulary, so partitions overlap in keys and the fold really sums.
 func randomPartition(rng *rand.Rand) *agg.State {
-	a := agg.New()
+	var a agg.Partition
 	for k := 1 + rng.Intn(4); k > 0; k-- {
 		var pairs []witch.Pair
 		for n := 1 + rng.Intn(6); n > 0; n-- {
@@ -111,9 +111,9 @@ func TestMaterializeScopedMatchesUnscoped(t *testing.T) {
 		for seed := int64(1); seed <= 25; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			g := randomGather(rng, c.exporters)
-			whole := agg.New()
+			whole := new(agg.View)
 			for _, st := range s.foldOrder(g) {
-				whole.MergeState(st)
+				whole.Fold(*st)
 			}
 			for _, g.tool = range tools {
 				for _, g.program = range programs {

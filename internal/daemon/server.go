@@ -744,21 +744,24 @@ func (s *Server) gather(w http.ResponseWriter, r *http.Request) (g gathered, ok 
 	return g, true
 }
 
-// materialize pays the merge a gathered query describes, folding from
-// each chosen State only the rows the response is built from: the
-// pairs of the query's tool (and program), and every meta of its tool
-// (/v1/top lists all of the tool's programs). Each kept row gets the
-// same float additions in the same order as in a fold of whole States,
-// so every rendered byte is the same; the fold and the render scan
-// just skip the rows no response reads.
-func (s *Server) materialize(g gathered) *agg.Aggregator {
+// materialize pays the merge a gathered query describes: one goroutine
+// folds, in foldOrder, from each chosen State only the rows the
+// response is built from — the pairs of the query's tool (and
+// program), and every meta of its tool (/v1/top lists all of the
+// tool's programs). Each kept row gets the same float additions in the
+// same order as in a fold of whole States, so every rendered byte is
+// the same; the fold and the render scan just skip the rows no
+// response reads.
+func (s *Server) materialize(g gathered) *agg.View {
 	defer s.cfg.Obs.StageSince(obs.StageFold, s.cfg.Obs.Start())
-	view := agg.New()
-	for _, st := range s.foldOrder(g) {
-		sc := st.Scope(g.tool, g.program)
-		sc.Metas = st.Scope(g.tool, "").Metas
-		view.MergeState(&sc)
+	order := s.foldOrder(g)
+	scoped := make([]agg.State, len(order))
+	for i, st := range order {
+		scoped[i] = st.Scope(g.tool, g.program)
+		scoped[i].Metas = st.Scope(g.tool, "").Metas
 	}
+	view := new(agg.View)
+	view.Fold(scoped...)
 	return view
 }
 
@@ -839,7 +842,7 @@ var errNoProfiles = errors.New("no profiles in window")
 // topBody renders a /v1/top body from a materialized view. SnapshotTop
 // ranks only the n pairs the response carries — heap selection instead
 // of sorting the whole population.
-func topBody(view *agg.Aggregator, g gathered, n int) ([]byte, error) {
+func topBody(view *agg.View, g gathered, n int) ([]byte, error) {
 	prof := view.SnapshotTop(g.tool, g.program, n)
 	if prof == nil {
 		return nil, errNoProfiles
@@ -866,8 +869,8 @@ func topBody(view *agg.Aggregator, g gathered, n int) ([]byte, error) {
 // profileBody renders a /v1/profile body from a materialized view.
 // Compact on the wire: indented output is for files and humans; a
 // fleet dashboard polling /v1/profile pays ~2x bytes for indentation.
-func profileBody(view *agg.Aggregator, g gathered) ([]byte, error) {
-	prof := view.Snapshot(g.tool, g.program)
+func profileBody(view *agg.View, g gathered) ([]byte, error) {
+	prof := view.SnapshotTop(g.tool, g.program, 0)
 	if prof == nil {
 		return nil, errNoProfiles
 	}
@@ -907,7 +910,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	s.serveQuery(w, r, "top", strconv.Itoa(n), func(view *agg.Aggregator, g gathered) ([]byte, error) {
+	s.serveQuery(w, r, "top", strconv.Itoa(n), func(view *agg.View, g gathered) ([]byte, error) {
 		return topBody(view, g, n)
 	})
 }
@@ -925,7 +928,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 // materializing and rendering on a miss. The query span, stage and
 // slow capture are labeled with endpoint.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint, extra string,
-	render func(view *agg.Aggregator, g gathered) ([]byte, error)) {
+	render func(view *agg.View, g gathered) ([]byte, error)) {
 	o := s.cfg.Obs
 	qStart := o.Start()
 	sp := o.StartSpan(r.Header.Get(obs.TraceHeader), "query")

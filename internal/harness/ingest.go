@@ -129,7 +129,7 @@ func Ingest(w io.Writer, o Options) error {
 	tbl.Fprint(w)
 
 	// Micro: allocations per ingested pair through the decode path, and
-	// per merged profile through the aggregator, measured live so the
+	// per merged profile into a store partition, measured live so the
 	// numbers in the report (and BENCH_ingest.json) match this build.
 	// The richer h264ref profile (~11 pairs) matches the codec
 	// micro-benchmarks in witch/codec_bench_test.go.
@@ -165,8 +165,8 @@ func Ingest(w io.Writer, o Options) error {
 			panic(err)
 		}
 	}))
-	ag := agg.New()
-	mergeAllocs := benchAllocs(func() { ag.Merge(mprof) })
+	var part agg.Partition // one store partition: base State plus write buffer
+	mergeAllocs := benchAllocs(func() { part.Merge(mprof) })
 
 	fmt.Fprintln(w)
 	mtbl := report.NewTable(fmt.Sprintf("decode/merge allocation profile (h264ref, %d pairs)", mpairs),
@@ -175,7 +175,7 @@ func Ingest(w io.Writer, o Options) error {
 	mtbl.Row("BatchDecoder json (pooled)", report.F(pooledJSON, 2), report.X(pooledJSON/baselineJSON))
 	mtbl.Row("BatchDecoder binary (pooled)", report.F(pooledBinary, 2), report.X(pooledBinary/baselineJSON))
 	mtbl.Fprint(w)
-	fmt.Fprintf(w, "aggregator merge: %.2f allocs per re-merged profile\n", mergeAllocs)
+	fmt.Fprintf(w, "partition merge: %.2f allocs per re-merged profile\n", mergeAllocs)
 
 	// Gates: these are the PR's acceptance criteria, enforced the same
 	// way the chaos experiment enforces its degradation bound.
@@ -201,7 +201,7 @@ func Ingest(w io.Writer, o Options) error {
 			pooledJSON, baselineJSON)
 	}
 	if mergeAllocs > 1 {
-		return fmt.Errorf("ingest: aggregator re-merge allocates %.2f per profile, want amortized zero", mergeAllocs)
+		return fmt.Errorf("ingest: partition re-merge allocates %.2f per profile, want amortized zero", mergeAllocs)
 	}
 
 	if !o.Quick {

@@ -33,7 +33,7 @@
 // the window's previous export has the same generation and bucketIdx,
 // each partition whose epoch in the fresh vector equals the epoch that
 // export carries for it reuses that export's *agg.State; only the
-// other partitions are merged across buckets and sorted again. The
+// other partitions are merged across buckets again. The
 // rule that makes a whole-export hit safe makes a per-partition reuse
 // safe: an equal partition epoch proves no mutation of that partition
 // since the earlier vector read, and the equal bucketIdx proves the
@@ -97,17 +97,7 @@ func (s *Store) noteTool(tool string) {
 	s.toolsMu.Unlock()
 }
 
-// noteToolsFromState records every tool a snapshot image carries.
-func (s *Store) noteToolsFromState(st *agg.State) {
-	if st == nil {
-		return
-	}
-	for i := range st.Metas {
-		s.noteTool(st.Metas[i].Tool)
-	}
-}
-
-// rebuildTools recomputes the tool set from the held aggregates — the
+// rebuildTools recomputes the tool set from the held States — the
 // slow path for the rare operations that can remove data (partition
 // removal, restore).
 func (s *Store) rebuildTools() {
@@ -120,16 +110,17 @@ func (s *Store) rebuildTools() {
 // foldMu (ReplacePartition mutates under the barrier).
 func (s *Store) rebuildToolsLocked() {
 	set := make(map[string]bool)
-	for _, a := range s.rollup {
-		for _, t := range a.Tools() {
-			set[t] = true
+	note := func(st *agg.State) {
+		for i := range st.Metas {
+			set[st.Metas[i].Tool] = true
 		}
+	}
+	for _, st := range s.rollup {
+		note(st)
 	}
 	for _, b := range s.liveBuckets(0, time.Time{}) {
 		for _, a := range b.snapshotParts() {
-			for _, t := range a.Tools() {
-				set[t] = true
-			}
+			note(a.State())
 		}
 	}
 	s.toolsMu.Lock()

@@ -114,7 +114,7 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 		t.Fatal("Restore did not regenerate the store generation")
 	}
 	matchesOracle(s2, "restored store")
-	if got, want := s2.Tools(), view(oracle, 0).Tools(); !reflect.DeepEqual(got, want) {
+	if got, want := s2.Tools(), exportTools(oracle); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored tool set %v, want %v", got, want)
 	}
 }
@@ -229,12 +229,12 @@ func TestStoreCacheRace(t *testing.T) {
 				}
 				switch g % 4 {
 				case 0:
-					view(s, 0).PairCount()
+					view(s, 0)
 					s.Health()
 				case 1:
-					view(s, 15*time.Millisecond).PairCount()
+					view(s, 15*time.Millisecond)
 				case 2:
-					partition(s, "p0").PairCount()
+					partition(s, "p0")
 				case 3:
 					s.ExportVersioned(0)
 					s.Stats()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,15 +16,15 @@ import (
 	"repro/witch"
 )
 
-// view folds a window's export into one aggregator the way witchd
-// reads a node: partitions in id order, the unkeyed one ("") first.
-func view(s *Store, window time.Duration) *agg.Aggregator {
+// view folds a window's export into one view the way witchd reads a
+// node: partitions in id order, the unkeyed one ("") first.
+func view(s *Store, window time.Duration) *agg.View {
 	exp := s.Export(window)
-	a := agg.New()
+	var v agg.View
 	for _, id := range sortedIDs(exp) {
-		a.MergeState(exp.Parts[id])
+		v.Fold(*exp.Parts[id])
 	}
-	return a
+	return &v
 }
 
 // sortedIDs lists an export's partition ids in fold order.
@@ -38,11 +39,37 @@ func sortedIDs(exp *Export) []string {
 
 // partition is pusher id's all-time partition, read from the export
 // (empty when the store holds none).
-func partition(s *Store, id string) *agg.Aggregator {
+func partition(s *Store, id string) *agg.View {
+	var v agg.View
 	if st := s.Export(0).Parts[id]; st != nil {
-		return agg.FromState(st)
+		v.Fold(*st)
 	}
-	return agg.New()
+	return &v
+}
+
+// profiles counts the profiles a window's export holds.
+func profiles(s *Store, window time.Duration) uint64 {
+	var n uint64
+	for _, st := range s.Export(window).Parts {
+		for _, m := range st.Metas {
+			n += m.Profiles
+		}
+	}
+	return n
+}
+
+// exportTools lists the tools the all-time export holds, sorted.
+func exportTools(s *Store) []string {
+	var out []string
+	for _, st := range s.Export(0).Parts {
+		for _, m := range st.Metas {
+			if !slices.Contains(out, m.Tool) {
+				out = append(out, m.Tool)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // partitions lists the pusher ids holding data anywhere in the store,
@@ -117,10 +144,10 @@ func TestRetentionEvictsAndRollsUp(t *testing.T) {
 	}
 
 	all := view(s, 0)
-	if got := all.Profiles(); got != windows {
+	if got := profiles(s, 0); got != windows {
 		t.Fatalf("unbounded query sees %d profiles, want %d", got, windows)
 	}
-	snap := all.Snapshot("dead", "")
+	snap := all.SnapshotTop("dead", "", 0)
 	if snap.Waste != 16*windows {
 		t.Fatalf("rollup lost waste: %g, want %d", snap.Waste, 16*windows)
 	}
@@ -136,15 +163,15 @@ func TestQueryWindowSelectsBuckets(t *testing.T) {
 	clk.advance(5 * time.Minute)
 	s.Ingest(synth("new", 2))
 
-	recent := view(s, 2*time.Minute).Snapshot("dead", "")
+	recent := view(s, 2*time.Minute).SnapshotTop("dead", "", 0)
 	if recent == nil || recent.Waste != 2 {
 		t.Fatalf("trailing window should see only the new profile, got %+v", recent)
 	}
-	both := view(s, 10*time.Minute).Snapshot("dead", "")
+	both := view(s, 10*time.Minute).SnapshotTop("dead", "", 0)
 	if both.Waste != 3 {
 		t.Fatalf("wide window should see both, got waste %g", both.Waste)
 	}
-	if view(s, 2*time.Minute).Snapshot("load", "") != nil {
+	if view(s, 2*time.Minute).SnapshotTop("load", "", 0) != nil {
 		t.Fatal("unknown tool should be nil")
 	}
 }
@@ -161,7 +188,7 @@ func TestSameWindowMergesInPlace(t *testing.T) {
 	if st.LiveBuckets != 1 || st.EvictedBuckets != 0 {
 		t.Fatalf("stats = %+v, want one live bucket, no eviction", st)
 	}
-	if got := view(s, 0).Snapshot("dead", "").Waste; got != 40 {
+	if got := view(s, 0).SnapshotTop("dead", "", 0).Waste; got != 40 {
 		t.Fatalf("in-bucket merge waste %g, want 40", got)
 	}
 }
@@ -196,7 +223,7 @@ func TestConcurrentIngestQueryEvict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if snap := view(s, 2*time.Minute).Snapshot("dead", ""); snap != nil {
+				if snap := view(s, 2*time.Minute).SnapshotTop("dead", "", 0); snap != nil {
 					_ = snap.TopPairs(3)
 				}
 				_ = s.Stats()
@@ -206,10 +233,10 @@ func TestConcurrentIngestQueryEvict(t *testing.T) {
 	wg.Wait()
 
 	const total = ingesters * perG
-	if got := view(s, 0).Profiles(); got != total {
+	if got := profiles(s, 0); got != total {
 		t.Fatalf("lost profiles across eviction: %d, want %d", got, total)
 	}
-	if got := view(s, 0).Snapshot("dead", "").Waste; got != 2*total {
+	if got := view(s, 0).SnapshotTop("dead", "", 0).Waste; got != 2*total {
 		t.Fatalf("lost waste across eviction: %g, want %d", got, 2*total)
 	}
 	st := s.Stats()
@@ -253,8 +280,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored stats %+v, want %+v", got, want)
 	}
 	for _, window := range []time.Duration{0, 2 * time.Minute, 10 * time.Minute} {
-		a := view(s, window).Snapshot("dead", "")
-		b := view(r, window).Snapshot("dead", "")
+		a := view(s, window).SnapshotTop("dead", "", 0)
+		b := view(r, window).SnapshotTop("dead", "", 0)
 		if (a == nil) != (b == nil) {
 			t.Fatalf("window %v: presence drifted", window)
 		}
@@ -294,10 +321,10 @@ func TestSnapshotRestoreGeometryChange(t *testing.T) {
 	if _, _, err := r.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := view(r, 0).Profiles(); got != n {
+	if got := profiles(r, 0); got != n {
 		t.Fatalf("all-time view lost profiles under reconfiguration: %d, want %d", got, n)
 	}
-	if got := view(r, 0).Snapshot("dead", "").Waste; got != 16*n {
+	if got := view(r, 0).SnapshotTop("dead", "", 0).Waste; got != 16*n {
 		t.Fatalf("all-time waste %g, want %d", got, 16*n)
 	}
 }
@@ -316,6 +343,46 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	}
 	if _, _, err := s.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("future snapshot version restored without error")
+	}
+}
+
+// TestRestoreRejectsMisorderedState: a snapshot holding a State that
+// breaks the agg.State order contract — misordered, or with a key
+// twice, in a bucket or the rollup — errors out, so recovery falls back
+// to the next snapshot, and the store keeps what it held. Restore
+// adopts snapshot States as sorted bases, and the linear merges that
+// later fold them would silently mis-merge an unchecked one.
+func TestRestoreRejectsMisorderedState(t *testing.T) {
+	src := New(Config{})
+	src.IngestAt(synth("a", 1), time.Unix(1700000000, 0))
+	src.IngestAt(synth("b", 2), time.Unix(1700000000, 0))
+	good := src.Export(0).Parts[""]
+	if len(good.Pairs) != 2 || len(good.Metas) != 2 {
+		t.Fatalf("test state has %d pairs, %d metas; want 2, 2", len(good.Pairs), len(good.Metas))
+	}
+	swapped := &agg.State{Metas: good.Metas, Pairs: []agg.PairState{good.Pairs[1], good.Pairs[0]}}
+	twice := &agg.State{Metas: []agg.MetaState{good.Metas[0], good.Metas[0]}, Pairs: good.Pairs[:1]}
+	start := time.Unix(1700000000, 0).UnixNano()
+	for name, img := range map[string]snapshotFile{
+		"misordered bucket":          {Buckets: []bucketImage{{StartUnixNano: start, State: swapped}}},
+		"duplicate-key keyed bucket": {Buckets: []bucketImage{{StartUnixNano: start, Parts: map[string]*agg.State{"p": twice}}}},
+		"misordered rollup":          {Rollup: swapped},
+		"duplicate-key keyed rollup": {RollupParts: map[string]*agg.State{"p": twice}},
+	} {
+		img.Version = snapshotVersion
+		img.WindowNanos = int64(time.Minute)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{})
+		s.IngestAt(synth("kept", 4), time.Unix(1700000000, 0))
+		if _, _, err := s.Restore(&buf); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+		if got := view(s, 0).SnapshotTop("dead", "", 0); got == nil || got.Program != "kept" {
+			t.Errorf("%s: a rejected restore changed the store", name)
+		}
 	}
 }
 
@@ -367,7 +434,7 @@ func TestSnapshotRacesEviction(t *testing.T) {
 		if _, _, err := r.Restore(bytes.NewReader(snap)); err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		prof := view(r, 0).Snapshot("dead", "")
+		prof := view(r, 0).SnapshotTop("dead", "", 0)
 		if prof == nil {
 			continue // taken before the first merge landed
 		}
@@ -382,10 +449,10 @@ func TestSnapshotRacesEviction(t *testing.T) {
 	if _, _, err := r.Restore(bytes.NewReader(final.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := view(r, 0).Profiles(); got != n {
+	if got := profiles(r, 0); got != n {
 		t.Fatalf("final snapshot accounts for %d profiles, want %d", got, n)
 	}
-	if got := len(view(r, 0).Snapshot("dead", "").TopPairs(0)); got != n {
+	if got := len(view(r, 0).SnapshotTop("dead", "", 0).TopPairs(0)); got != n {
 		t.Fatalf("final snapshot has %d pairs, want %d", got, n)
 	}
 	if st := r.Stats(); st.EvictedBuckets == 0 {
@@ -440,7 +507,7 @@ func TestSnapshotChecksumDetectsCorruption(t *testing.T) {
 	if anchor != 7 || string(extra) != "blob" {
 		t.Fatalf("legacy restore drifted: anchor=%d extra=%q", anchor, extra)
 	}
-	if got := view(r, 0).Profiles(); got != 6 {
+	if got := profiles(r, 0); got != 6 {
 		t.Fatalf("legacy restore lost profiles: %d", got)
 	}
 }
@@ -460,10 +527,10 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	if got := partitions(s); len(got) != 2 || got[0] != "alice" || got[1] != "bob" {
 		t.Fatalf("partitions = %v, want [alice bob]", got)
 	}
-	if got := partition(s, "alice").Snapshot("dead", "").Waste; got != 10 {
+	if got := partition(s, "alice").SnapshotTop("dead", "", 0).Waste; got != 10 {
 		t.Fatalf("alice partition waste %g, want 10 (isolation broken)", got)
 	}
-	if got := view(s, 0).Snapshot("dead", "").Waste; got != 60 {
+	if got := view(s, 0).SnapshotTop("dead", "", 0).Waste; got != 60 {
 		t.Fatalf("merged query waste %g, want 60", got)
 	}
 
@@ -481,13 +548,13 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	r.IngestKeyedAt("alice", synth("prog-stale", 99), clk.now())
 	r.IngestKeyedAt("carol", synth("prog-c", 5), clk.now())
 	r.ReplacePartition("alice", img)
-	if got := partition(r, "alice").Snapshot("dead", "").Waste; got != 10 {
+	if got := partition(r, "alice").SnapshotTop("dead", "", 0).Waste; got != 10 {
 		t.Fatalf("replaced partition waste %g, want 10 (stale copy survived?)", got)
 	}
-	if partition(r, "alice").Snapshot("dead", "").Program == "prog-stale" {
+	if partition(r, "alice").SnapshotTop("dead", "", 0).Program == "prog-stale" {
 		t.Fatal("replace merged instead of replacing")
 	}
-	if got := partition(r, "carol").Snapshot("dead", "").Waste; got != 5 {
+	if got := partition(r, "carol").SnapshotTop("dead", "", 0).Waste; got != 5 {
 		t.Fatalf("neighbour partition disturbed: %g", got)
 	}
 
@@ -503,10 +570,10 @@ func TestKeyedPartitionsRoundTrip(t *testing.T) {
 	if got := partitions(s2); len(got) != 2 {
 		t.Fatalf("partitions lost in snapshot round trip: %v", got)
 	}
-	if got := partition(s2, "bob").Snapshot("dead", "").Waste; got != 20 {
+	if got := partition(s2, "bob").SnapshotTop("dead", "", 0).Waste; got != 20 {
 		t.Fatalf("restored bob partition waste %g, want 20", got)
 	}
-	if got := view(s2, 0).Snapshot("dead", "").Waste; got != 60 {
+	if got := view(s2, 0).SnapshotTop("dead", "", 0).Waste; got != 60 {
 		t.Fatalf("restored merged waste %g, want 60", got)
 	}
 }

@@ -101,9 +101,9 @@ func appendString(dst []byte, s string) []byte {
 // A BatchDecoder is not safe for concurrent use, and the profiles one
 // Decode returns are valid only until the next Decode — callers that
 // pool decoders must finish (or copy out of) the batch before putting
-// the decoder back. Aggregation via agg.Merge is safe: it copies every
-// scalar and retains only strings, which are immutable and never
-// recycled.
+// the decoder back. Aggregation via agg.Partition.Merge is safe: it
+// copies every scalar and retains only strings, which are immutable and
+// never recycled.
 type BatchDecoder struct {
 	arena  []Profile // backing store for returned *Profiles
 	profs  []*Profile
