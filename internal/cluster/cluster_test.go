@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -322,13 +322,13 @@ func TestScatterPartial(t *testing.T) {
 		if got := r.URL.Query().Get("window"); got != "5m" {
 			t.Errorf("window not passed through: %q", got)
 		}
-		var dreq DeltaRequest
-		if err := gob.NewDecoder(r.Body).Decode(&dreq); err != nil {
+		body, _ := io.ReadAll(r.Body)
+		if _, err := DecodeDeltaRequest(body); err != nil {
 			t.Errorf("decoding delta request: %v", err)
 		}
-		gob.NewEncoder(w).Encode(&ShardDelta{Delta: &store.ExportDelta{
+		w.Write((&ShardDelta{Delta: &store.ExportDelta{
 			Full: true, Export: &store.Export{Parts: map[string]*agg.State{"": a.State()}},
-		}})
+		}}).AppendBinary(nil))
 	}))
 	defer live.Close()
 	self := "http://10.0.0.1:9147"

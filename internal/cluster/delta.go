@@ -22,7 +22,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net/http"
@@ -118,39 +117,70 @@ func (e *scatterEntry) apply(sd *ShardDelta) bool {
 	return changed
 }
 
-// decodeShardDelta reads one /v1/shard POST reply and rejects a delta
-// whose changed partitions fail checkOrder. It decodes into empty
-// maps, never nil ones: gob sizes a nil map by the entry count the
-// sender claims, so a few bytes could make the receiver allocate until
-// it dies, while a non-nil map makes every entry cost input bytes. gob
-// omits zero values, so an empty delta (the steady-state answer)
-// decodes to those empty maps.
-func decodeShardDelta(raw []byte) (*ShardDelta, error) {
-	sd := &ShardDelta{
-		Delta: &store.ExportDelta{
-			Export: &store.Export{Parts: map[string]*agg.State{}},
-			Ver:    store.ExportVersion{Epochs: map[string]uint64{}},
-		},
-		Hinted: map[string][]string{},
+// AppendBinary appends the request's binary encoding (agg.Encoder):
+// Gen, BucketIdx, then the Epochs map.
+func (req *DeltaRequest) AppendBinary(dst []byte) []byte {
+	e := agg.NewEncoder(dst)
+	appendVersion(e, &req.Ver)
+	return e.Bytes()
+}
+
+// DecodeDeltaRequest reads one /v1/shard POST body. Its epoch map is
+// never nil: a first-contact request still gets a full export, since
+// its zero Gen matches no store's.
+func DecodeDeltaRequest(raw []byte) (DeltaRequest, error) {
+	d := agg.NewDecoder(raw)
+	req := DeltaRequest{Ver: readVersion(d)}
+	if err := d.Close(); err != nil {
+		return DeltaRequest{}, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(sd); err != nil {
+	return req, nil
+}
+
+// AppendBinary appends the reply's binary encoding: Full, the changed
+// partitions, the tombstones, the version, then the hint ledger.
+func (sd *ShardDelta) AppendBinary(dst []byte) []byte {
+	e := agg.NewEncoder(dst)
+	dl := sd.Delta
+	e.Bool(dl.Full)
+	var parts map[string]*agg.State
+	if dl.Export != nil {
+		parts = dl.Export.Parts
+	}
+	agg.EncodeMap(e, parts, e.State)
+	e.Strs(dl.Tombstones)
+	appendVersion(e, &dl.Ver)
+	agg.EncodeMap(e, sd.Hinted, e.Strs)
+	return e.Bytes()
+}
+
+// decodeShardDelta reads one /v1/shard POST reply and rejects a delta
+// whose changed partitions fail checkOrder. Its Export and maps are
+// never nil.
+func decodeShardDelta(raw []byte) (*ShardDelta, error) {
+	d := agg.NewDecoder(raw)
+	dl := &store.ExportDelta{Full: d.Bool()}
+	dl.Export = &store.Export{Parts: agg.DecodeMap(d, agg.MinStateBytes, d.State)}
+	dl.Tombstones = d.Strs()
+	dl.Ver = readVersion(d)
+	sd := &ShardDelta{Delta: dl, Hinted: agg.DecodeMap(d, 1, d.Strs)}
+	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("decoding: %w", err)
 	}
-	if err := checkOrder(sd.Delta); err != nil {
+	if err := checkOrder(dl); err != nil {
 		return nil, err
 	}
 	return sd, nil
 }
 
-// DecodeDeltaRequest reads one /v1/shard POST body, into an empty
-// epoch map for the reason decodeShardDelta gives. A first-contact
-// request still gets a full export: its zero Gen matches no store's.
-func DecodeDeltaRequest(r io.Reader) (DeltaRequest, error) {
-	req := DeltaRequest{Ver: store.ExportVersion{Epochs: map[string]uint64{}}}
-	if err := gob.NewDecoder(r).Decode(&req); err != nil {
-		return DeltaRequest{}, err
-	}
-	return req, nil
+func appendVersion(e *agg.Encoder, v *store.ExportVersion) {
+	e.Uint(v.Gen)
+	e.Int(v.BucketIdx)
+	agg.EncodeMap(e, v.Epochs, e.Uint)
+}
+
+func readVersion(d *agg.Decoder) store.ExportVersion {
+	return store.ExportVersion{Gen: d.Uint(), BucketIdx: d.Int(), Epochs: agg.DecodeMap(d, 1, d.Uint)}
 }
 
 // checkOrder rejects a delta whose changed partitions break agg.State's
@@ -210,6 +240,7 @@ func hintedEqual(a, b map[string][]string) bool {
 // reads. Each leg is bounded by QueryTimeout instead.
 func (r *Router) ScatterDeltas(ctx context.Context, rawWindow string) []ShardResult {
 	r.scatters.Add(1)
+	t0 := r.obs.Start()
 	out := make([]ShardResult, len(r.others))
 	var wg sync.WaitGroup
 	for i, peer := range r.others {
@@ -220,6 +251,7 @@ func (r *Router) ScatterDeltas(ctx context.Context, rawWindow string) []ShardRes
 		}(i, peer)
 	}
 	wg.Wait()
+	r.obs.StageSince(obs.StageScatterFanout, t0)
 	partial := false
 	for _, sr := range out {
 		if sr.Err != nil {
@@ -253,17 +285,14 @@ func (r *Router) fetchShardDelta(ctx context.Context, peer, rawWindow string) Sh
 	if rawWindow != "" {
 		u += "?window=" + url.QueryEscape(rawWindow)
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&DeltaRequest{Ver: e.ver}); err != nil {
-		sr.Err = fmt.Errorf("encoding delta request: %w", err)
-		return sr
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, &body)
+	body := (&DeltaRequest{Ver: e.ver}).AppendBinary(nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
 		sr.Err = err
 		return sr
 	}
 	req.Header.Set(RingHeader, r.ringHash)
+	req.Header.Set("Content-Type", agg.ContentType)
 	sp := r.traceSpan(ctx, req, "scatter_leg", peer)
 	t0 := r.obs.Start()
 	defer func() {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -173,9 +172,7 @@ func TestDeltaRejectsUnsortedPartition(t *testing.T) {
 			Full: true, Export: serve,
 			Ver: store.ExportVersion{Epochs: map[string]uint64{"p": 1}},
 		}}
-		if err := gob.NewEncoder(w).Encode(sd); err != nil {
-			t.Error(err)
-		}
+		w.Write(sd.AppendBinary(nil))
 	}))
 	defer peer.Close()
 	self := "http://10.0.0.1:9147"
@@ -206,17 +203,14 @@ func TestDeltaRejectsUnsortedPartition(t *testing.T) {
 // TestDeltaEmptyPeerStaysDelta: a peer whose window holds no partition
 // answers steady-state polls with deltas, not full exports, once the
 // baseline's empty epoch vector has made the round trip through both
-// wire decoders (gob sends an empty non-nil map, and the vector's
-// presence is what tells the exporter the caller has a baseline).
+// wire decoders (they decode an empty map as empty, not nil, and the
+// vector's presence is what tells the exporter the caller has a
+// baseline).
 func TestDeltaEmptyPeerStaysDelta(t *testing.T) {
 	st := store.New(store.Config{Window: time.Minute, Buckets: 3})
 	e := &scatterEntry{}
 	for round := 0; round < 3; round++ {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(&DeltaRequest{Ver: e.ver}); err != nil {
-			t.Fatal(err)
-		}
-		req, err := DecodeDeltaRequest(&body)
+		req, err := DecodeDeltaRequest((&DeltaRequest{Ver: e.ver}).AppendBinary(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,11 +218,7 @@ func TestDeltaEmptyPeerStaysDelta(t *testing.T) {
 		if got, want := d.Full, round == 0; got != want {
 			t.Fatalf("round %d: full export %v, want %v", round, got, want)
 		}
-		var reply bytes.Buffer
-		if err := gob.NewEncoder(&reply).Encode(&ShardDelta{Delta: d}); err != nil {
-			t.Fatal(err)
-		}
-		sd, err := decodeShardDelta(reply.Bytes())
+		sd, err := decodeShardDelta((&ShardDelta{Delta: d}).AppendBinary(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"net/url"
 	"sync"
 
+	"repro/internal/agg"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/witch"
@@ -107,19 +107,79 @@ func (r *Router) FetchPartition(ctx context.Context, peer, pusherID string) (*Pa
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("partition query: %s", resp.Status)
 	}
-	return decodePartitionTransfer(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("reading partition transfer: %w", err)
+	}
+	return decodePartitionTransfer(raw)
+}
+
+// AppendBinary appends the transfer's binary encoding (agg.Encoder): a
+// presence flag and the image (WindowNanos, the buckets as (start,
+// presence flag, State), a presence flag and the rollup), then the
+// dedup window.
+func (pt *PartitionTransfer) AppendBinary(dst []byte) []byte {
+	e := agg.NewEncoder(dst)
+	optState := func(st *agg.State) {
+		e.Bool(st != nil)
+		if st != nil {
+			e.State(st)
+		}
+	}
+	img := pt.Image
+	e.Bool(img != nil)
+	if img != nil {
+		e.Int(img.WindowNanos)
+		e.Uint(uint64(len(img.Buckets)))
+		for _, b := range img.Buckets {
+			e.Int(b.StartUnixNano)
+			optState(b.State)
+		}
+		optState(img.Rollup)
+	}
+	e.Uint(pt.DedupMax)
+	e.Uint(uint64(len(pt.DedupBits)))
+	for _, w := range pt.DedupBits {
+		e.Uint(w)
+	}
+	return e.Bytes()
 }
 
 // decodePartitionTransfer reads one /v1/shard?pusher= reply and rejects
-// a transfer the store could not install. gob drops a nil pointer, so
-// a bucket can arrive with no State, and ReplacePartition would
-// dereference it. Every State must also pass agg.State.CheckOrder:
-// ReplacePartition adopts them as sorted bases and merges them
-// linearly, which would silently mis-merge a misordered or duplicate-
-// key State.
-func decodePartitionTransfer(r io.Reader) (*PartitionTransfer, error) {
+// a transfer the store could not install. A bucket with no State would
+// make ReplacePartition dereference nil. Every State must also pass
+// agg.State.CheckOrder: ReplacePartition adopts them as sorted bases
+// and merges them linearly, which would silently mis-merge a
+// misordered or duplicate-key State.
+func decodePartitionTransfer(raw []byte) (*PartitionTransfer, error) {
+	d := agg.NewDecoder(raw)
+	optState := func() *agg.State {
+		if d.Bool() {
+			return d.State()
+		}
+		return nil
+	}
 	pt := new(PartitionTransfer)
-	if err := gob.NewDecoder(r).Decode(pt); err != nil {
+	if d.Bool() {
+		img := &store.PartitionImage{WindowNanos: d.Int()}
+		if n := d.Count(2); n > 0 {
+			img.Buckets = make([]store.PartitionBucket, n)
+			for i := range img.Buckets {
+				img.Buckets[i].StartUnixNano = d.Int()
+				img.Buckets[i].State = optState()
+			}
+		}
+		img.Rollup = optState()
+		pt.Image = img
+	}
+	pt.DedupMax = d.Uint()
+	if n := d.Count(1); n > 0 {
+		pt.DedupBits = make([]uint64, n)
+		for i := range pt.DedupBits {
+			pt.DedupBits[i] = d.Uint()
+		}
+	}
+	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("decoding partition transfer: %w", err)
 	}
 	if pt.Image == nil {

@@ -1,10 +1,11 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -80,7 +81,8 @@ func (s *Server) forwardIngest(ctx context.Context, w http.ResponseWriter, r *ht
 // handleShard serves the two /v1/shard units. POST is the scatter
 // unit, the delta protocol (see handleShardDelta). GET with ?pusher=
 // is the anti-entropy repair unit: one pusher's full transferable
-// partition (bucket-structured history plus its dedup window). Always
+// partition (bucket-structured history plus its dedup window), a
+// binary cluster.PartitionTransfer sent as agg.ContentType. Always
 // local by construction, which is what keeps scatter legs from
 // recursing.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
@@ -98,18 +100,19 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.URL.Query().Get("pusher")
 	if id == "" {
-		httpError(w, http.StatusBadRequest, "GET /v1/shard needs ?pusher=; window exports are POST (gob cluster.DeltaRequest body)")
+		httpError(w, http.StatusBadRequest, "GET /v1/shard needs ?pusher=; window exports are POST (binary cluster.DeltaRequest body)")
 		return
 	}
 	pt := cluster.PartitionTransfer{Image: s.st.PartitionImage(id)}
 	pt.DedupMax, pt.DedupBits = s.ded.WindowOf(id)
-	w.Header().Set("Content-Type", "application/x-gob")
-	_ = gob.NewEncoder(w).Encode(&pt)
+	writePayload(w, pt.AppendBinary)
 }
 
 // handleShardDelta is the POST side of /v1/shard: diff this node's
-// window export against the caller's version vector. The body is a gob
-// cluster.DeltaRequest; the reply a gob ShardDelta — only the
+// window export against the caller's version vector. The body is a
+// binary cluster.DeltaRequest (magic first: a body in any other
+// format, such as an older build's gob, is a 400); the reply a binary
+// ShardDelta, sent as agg.ContentType — only the
 // partitions whose epochs moved, plus tombstones, or a full export when
 // the vector is unusable (first contact, another generation, another
 // clock quantum) — alongside this node's pending-hint ledger, so the
@@ -125,7 +128,12 @@ func (s *Server) handleShardDelta(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dreq, err := cluster.DecodeDeltaRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "reading delta request: %v", err)
+		return
+	}
+	dreq, err := cluster.DecodeDeltaRequest(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding delta request: %v", err)
 		return
@@ -136,8 +144,18 @@ func (s *Server) handleShardDelta(w http.ResponseWriter, r *http.Request) {
 	if s.repl != nil {
 		sd.Hinted = s.repl.hints.hintedPushers()
 	}
-	w.Header().Set("Content-Type", "application/x-gob")
-	_ = gob.NewEncoder(w).Encode(&sd)
+	writePayload(w, sd.AppendBinary)
+}
+
+// writePayload sends one binary peer payload, encoded into a pooled
+// buffer.
+func writePayload(w http.ResponseWriter, appendTo func([]byte) []byte) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	buf.Write(appendTo(buf.AvailableBuffer()))
+	w.Header().Set("Content-Type", agg.ContentType)
+	w.Write(buf.Bytes())
 }
 
 // handleClusterHealthz answers for the fleet: one row per node plus a

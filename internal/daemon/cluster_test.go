@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -315,40 +316,31 @@ func TestShardRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pt cluster.PartitionTransfer
-	err = gob.NewDecoder(r.Body).Decode(&pt)
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK || err != nil || pt.DedupMax != 1 || pt.Image == nil {
-		t.Fatalf("repair unit: HTTP %d, err %v, dedup max %d", r.StatusCode, err, pt.DedupMax)
+	pt, err := nodes[0].srv.Cluster().FetchPartition(context.Background(), holder.url, id)
+	if err != nil || pt.DedupMax != 1 || pt.Image == nil {
+		t.Fatalf("repair unit: err %v, transfer %+v", err, pt)
 	}
 
-	delta := func(ver store.ExportVersion) *cluster.ShardDelta {
+	// The other node's router speaks the POST protocol to the holder.
+	asker := nodes[1]
+	if holder == nodes[1] {
+		asker = nodes[0]
+	}
+	scatter := func() cluster.ShardResult {
 		t.Helper()
-		var req bytes.Buffer
-		if err := gob.NewEncoder(&req).Encode(&cluster.DeltaRequest{Ver: ver}); err != nil {
-			t.Fatal(err)
+		sr := asker.srv.Cluster().ScatterDeltas(context.Background(), "5m")[0]
+		if sr.Err != nil {
+			t.Fatalf("POST /v1/shard: %v", sr.Err)
 		}
-		r, err := http.Post(holder.url+"/v1/shard?window=5m", "application/x-gob", &req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("POST /v1/shard: HTTP %d", r.StatusCode)
-		}
-		sd := new(cluster.ShardDelta)
-		if err := gob.NewDecoder(r.Body).Decode(sd); err != nil || sd.Delta == nil {
-			t.Fatalf("decoding shard delta: %v", err)
-		}
-		return sd
+		return sr
 	}
-	first := delta(store.ExportVersion{})
-	if !first.Delta.Full || first.Delta.Export == nil || first.Delta.Export.Parts[id] == nil {
-		t.Fatalf("first contact is not a full export holding %s: %+v", id, first.Delta)
+	first := scatter()
+	if cs := asker.srv.Cluster().StatsSnapshot(); cs.ScatterFullLegs != 1 || first.Export.Parts[id] == nil {
+		t.Fatalf("first contact is not a full export holding %s: %+v, %+v", id, cs, first.Export)
 	}
-	again := delta(first.Delta.Ver)
-	if again.Delta.Full || (again.Delta.Export != nil && len(again.Delta.Export.Parts) != 0) {
-		t.Fatalf("unchanged store shipped a non-empty delta: %+v", again.Delta)
+	again := scatter()
+	if cs := asker.srv.Cluster().StatsSnapshot(); cs.ScatterDeltaLegs != 1 || again.Rev != first.Rev {
+		t.Fatalf("unchanged store shipped a non-empty delta: %+v, rev %d then %d", cs, first.Rev, again.Rev)
 	}
 }
 
@@ -557,5 +549,53 @@ func TestDedupConcurrentEvictionChurn(t *testing.T) {
 		if err != nil || (!dup && !stale) || applied != 0 {
 			t.Fatalf("%s seq %d re-merged: dup=%v stale=%v applied=%d", id, seqs, dup, stale, applied)
 		}
+	}
+}
+
+// TestShardRejectsGob: a peer on an older build speaks gob on the
+// scatter wire. Its gob reply fails the leg, and the fleet read names
+// it in X-Witch-Incomplete; its gob request is a 400 that says the
+// body is not a binary payload.
+func TestShardRejectsGob(t *testing.T) {
+	const self = "http://coordinator.test"
+	peer := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/shard" || r.Method != http.MethodPost {
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
+		st := store.New(store.Config{Window: time.Minute, Buckets: 2})
+		st.Ingest(testProfile(t, 3))
+		gob.NewEncoder(w).Encode(&cluster.ShardDelta{Delta: st.ExportDelta(0, store.ExportVersion{})})
+	}))
+	peerURL := "http://" + peer.Listener.Addr().String()
+	peer.Start()
+	t.Cleanup(peer.Close)
+	node, err := OpenNode(NodeConfig{
+		Cluster:     &cluster.Config{Self: self, Peers: []string{self, peerURL}},
+		Replication: ReplicationConfig{DrainInterval: time.Hour, RepairInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Kill)
+	prof := testProfile(t, 4)
+	node.Server().st.Ingest(prof)
+	h := node.Handler()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/top?tool="+prof.Tool, nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Witch-Incomplete") != peerURL {
+		t.Fatalf("fleet read beside a gob peer: HTTP %d, incomplete %q, want 200 naming %s",
+			rec.Code, rec.Header().Get("X-Witch-Incomplete"), peerURL)
+	}
+
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&cluster.DeltaRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard", &body))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "magic") {
+		t.Fatalf("gob delta request: HTTP %d %.80q, want 400 naming the magic", rec.Code, rec.Body.String())
 	}
 }

@@ -485,17 +485,12 @@ func (s *Server) digestEntry(id string) cluster.DigestEntry {
 var emptyPartition agg.State
 
 // partitionFingerprint returns pusher id's merge count and checksum
-// from an all-time export: FNV-1a over its State's JSON encoding.
-// agg.State is deterministic — its slices are sorted and it contains
-// no maps — and JSON emits struct fields in declaration order, so
-// equal data hashes to equal sums on every node. (gob is unusable
-// here: it numbers types from a process-global registry in
-// first-encode order, so two processes with different encode histories
-// gob identical values to different bytes, and replicas would disagree
-// about partitions they hold byte-for-byte in common.) Replicas that merged the same batches
-// in a different order can still differ in float round-off; the one
-// redundant pull that triggers adopts the owner's image verbatim, after
-// which the sums are equal.
+// from an all-time export: FNV-1a over its State's binary encoding
+// (agg.Encoder), which is canonical — the bytes are a function of the
+// value — so equal data hashes to equal sums on every node. Replicas
+// that merged the same batches in a different order can still differ
+// in float round-off; the one redundant pull that triggers adopts the
+// owner's image verbatim, after which the sums are equal.
 func partitionFingerprint(exp *store.Export, id string) (uint64, string) {
 	st := exp.Parts[id]
 	if st == nil {
@@ -505,10 +500,10 @@ func partitionFingerprint(exp *store.Export, id string) (uint64, string) {
 	for i := range st.Metas {
 		n += st.Metas[i].Profiles
 	}
+	e := agg.NewEncoder(nil)
+	e.State(st)
 	h := fnv.New64a()
-	if err := json.NewEncoder(h).Encode(st); err != nil {
-		return n, "unencodable"
-	}
+	h.Write(e.Bytes())
 	return n, fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -385,15 +385,35 @@ func TestDigestMatchesNoCache(t *testing.T) {
 }
 
 // TestRepairRejectsStatelessBucket: a partition transfer whose bucket
-// has no State (gob drops the nil pointer, so a peer can send one) is a
-// repair error, not an adoption. ReplacePartition would dereference
+// has no State (the encoding has a presence flag, so a peer can send
+// one) is a repair error, not an adoption. ReplacePartition would dereference
 // the missing State, and in witchd that panic kills the node from its
 // repair goroutine.
 func TestRepairRejectsStatelessBucket(t *testing.T) {
-	repairRejects(t, "stateless bucket", &store.PartitionImage{
+	repairRejects(t, "stateless bucket", transfer(&store.PartitionImage{
 		WindowNanos: int64(time.Minute),
 		Buckets:     []store.PartitionBucket{{StartUnixNano: time.Unix(1700000000, 0).UnixNano()}},
-	})
+	}))
+}
+
+// TestRepairRejectsGobTransfer: a peer on an older build answers the
+// repair pull with a gob-encoded transfer. Its bytes fail the binary
+// decoder's magic, and the pull counts as a repair error.
+func TestRepairRejectsGobTransfer(t *testing.T) {
+	src := store.New(store.Config{Window: time.Minute, Buckets: 4})
+	src.IngestKeyedAt("p", witch.NewProfile(witch.Profile{Program: "prog", Tool: "dead", Waste: 3, Use: 1}, []witch.Pair{
+		{Src: "a", Dst: "b", Chain: "a->b", Waste: 1, Use: 0.5},
+	}), time.Unix(1700000000, 0))
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&cluster.PartitionTransfer{DedupMax: 1, Image: src.PartitionImage("p")}); err != nil {
+		t.Fatal(err)
+	}
+	repairRejects(t, "gob transfer", body.Bytes())
+}
+
+// transfer is the binary transfer a peer sends for img.
+func transfer(img *store.PartitionImage) []byte {
+	return (&cluster.PartitionTransfer{DedupMax: 1, Image: img}).AppendBinary(nil)
 }
 
 // TestRepairRejectsMisorderedImage: a partition transfer holding a
@@ -417,15 +437,15 @@ func TestRepairRejectsMisorderedImage(t *testing.T) {
 	bucket := func(st *agg.State) []store.PartitionBucket {
 		return []store.PartitionBucket{{StartUnixNano: start.UnixNano(), State: st}}
 	}
-	repairRejects(t, "misordered bucket", &store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(swapped)})
-	repairRejects(t, "duplicate-key bucket", &store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(twice)})
-	repairRejects(t, "duplicate-key rollup", &store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(good), Rollup: twice})
+	repairRejects(t, "misordered bucket", transfer(&store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(swapped)}))
+	repairRejects(t, "duplicate-key bucket", transfer(&store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(twice)}))
+	repairRejects(t, "duplicate-key rollup", transfer(&store.PartitionImage{WindowNanos: int64(time.Minute), Buckets: bucket(good), Rollup: twice}))
 }
 
-// repairRejects runs one repair round against a peer that offers img
-// for a pusher this node lacks, and requires the transfer to be
-// counted as a repair error and leave the store empty.
-func repairRejects(t *testing.T, name string, img *store.PartitionImage) {
+// repairRejects runs one repair round against a peer that answers the
+// pull for a pusher this node lacks with body, and requires the
+// transfer to be counted as a repair error and leave the store empty.
+func repairRejects(t *testing.T, name string, body []byte) {
 	t.Helper()
 	const id = "rejected-pusher"
 	const self = "http://repairer.test"
@@ -435,7 +455,7 @@ func repairRejects(t *testing.T, name string, img *store.PartitionImage) {
 		case "/v1/digest":
 			json.NewEncoder(w).Encode(cluster.Digest{Ring: ring, Pushers: map[string]cluster.DigestEntry{id: {Max: 1, N: 1, Sum: "x"}}})
 		case "/v1/shard":
-			gob.NewEncoder(w).Encode(&cluster.PartitionTransfer{DedupMax: 1, Image: img})
+			w.Write(body)
 		default:
 			w.WriteHeader(http.StatusNotFound)
 		}

@@ -171,8 +171,8 @@ func (s *Server) Cluster() *cluster.Router { return s.cl }
 //	                   (both apply through serveBatch: the same gates, journal-before-ack and dedup)
 //	GET  /v1/top       ranked merged pairs (tool, window, program, n) — fleet-wide with a cluster
 //	GET  /v1/profile   full merged profile in the WriteJSON schema — fleet-wide with a cluster
-//	POST /v1/shard     this node's window export as a delta against the caller's version vector (gob), the scatter unit
-//	GET  /v1/shard     ?pusher= one partition plus its dedup window (gob), the anti-entropy repair unit
+//	POST /v1/shard     this node's window export as a delta against the caller's version vector (binary agg encoding), the scatter unit
+//	GET  /v1/shard     ?pusher= one partition plus its dedup window (binary agg encoding), the anti-entropy repair unit
 //	GET  /v1/digest    per-pusher (maxSeq, checksum) anti-entropy digest
 //	GET  /v1/healthz   fleet health: every peer's row plus the merged rollup
 //	GET  /v1/trace/{id} cross-node span tree for one trace (?scope=local for this node's spans only)

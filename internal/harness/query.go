@@ -350,7 +350,7 @@ func runQueryFleet(w io.Writer, o Options, res *queryResult) error {
 
 	// Steady state: identical queries at unchanged epochs. Every leg
 	// presents a current vector and gets back an empty delta — the wire
-	// cost drops to gob framing.
+	// cost drops to the version vector and the hint ledger.
 	start := time.Now()
 	for i := 0; i < steadyQueries; i++ {
 		rn, body, err := fleetGet(topURL)

@@ -46,14 +46,18 @@ const (
 	// StageRender is the snapshot and encode of a materialized view
 	// into a /v1/top or /v1/profile body.
 	StageRender
-	// StageScatterDecode is one scatter leg's gob decode, order check and
-	// patch of the peer's baseline: the part of a StageScatter leg
+	// StageScatterDecode is one scatter leg's binary decode, order check
+	// and patch of the peer's baseline: the part of a StageScatter leg
 	// spent after the response body has arrived.
 	StageScatterDecode
 	// StageScatterWait is one scatter leg's wait for its (peer, window)
 	// baseline lock, which concurrent reads of the same window share;
 	// it ends before the StageScatter leg's clock starts.
 	StageScatterWait
+	// StageScatterFanout is one query's whole scatter: every leg, run in
+	// parallel, waits included — the slowest leg plus its wait, which
+	// is what the query waits for.
+	StageScatterFanout
 	// StageCacheHit / StageCacheMiss split query serving time by
 	// rendered-response-cache outcome.
 	StageCacheHit
@@ -77,6 +81,7 @@ var stageNames = [numStages]string{
 	"query_render",
 	"scatter_decode",
 	"scatter_wait",
+	"scatter_fanout",
 	"query_cache_hit",
 	"query_cache_miss",
 }
