@@ -15,8 +15,9 @@
 // buffer of the rows ingested since that base was built; compaction
 // merges the buffer into a fresh base in one linear pass. Whole States
 // combine by Merge, a linear two-way merge, and a read folds the States
-// it renders into a View. Between nodes a State travels in one
-// canonical binary encoding (Encoder and Decoder, codec.go).
+// it renders into a View. Between nodes and at rest a State has one
+// canonical binary encoding (Encoder and Decoder, codec.go), whose
+// decoder checks the State order contract.
 //
 // Addition order contract. A float sum depends on the order of its
 // additions, so every path adds in one documented order, and equal

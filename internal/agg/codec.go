@@ -8,19 +8,21 @@ import (
 	"sort"
 )
 
-// The binary encoding is the one form in which States travel between
-// witchd nodes: the delta scatter leg, the anti-entropy partition
-// transfer and the digest's checksum all use it. It follows the WITCHB1
-// profile codec's layout (uvarint counts and lengths, float bits
-// little-endian) and is canonical: the bytes are a function of the
-// value, so equal data hashes equal on every node.
+// The binary encoding is the one form in which witchd writes States,
+// between nodes and at rest: the delta scatter leg, the anti-entropy
+// partition transfer, the digest's checksum, the store snapshot and the
+// dedup image all use it. It follows the WITCHB1 profile codec's layout
+// (uvarint counts and lengths, float bits little-endian) and is
+// canonical: the bytes are a function of the value, so equal data
+// hashes equal on every node and a snapshot of a restored store is the
+// snapshot it was restored from.
 //
 //	"WITCHA1\n"      8-byte magic, once per payload
 //	uint             uvarint, minimal length
 //	int              zig-zag varint, minimal length
 //	bool             one byte, 0 or 1
 //	float64          8 bytes, IEEE 754 bits little-endian
-//	string           uint length, then the raw bytes
+//	string, blob     uint length, then the raw bytes
 //	list             uint count, then the elements
 //	map              uint count, then (string key, value) entries in
 //	                 strictly ascending byte-wise key order
@@ -28,14 +30,16 @@ import (
 //	                 row its fields in declaration order (Stats and
 //	                 Health inlined the same way)
 //
-// A payload is the magic and its fields in a fixed order; its
-// envelopes (internal/cluster) say which. Decoding is strict: a non-
+// A payload is the magic and its fields in a fixed order; its owners
+// say which (internal/cluster's envelopes, store.PartitionImage and the
+// store snapshot, the daemon's dedup image). Decoding is strict: a non-
 // minimal varint, a bool other than 0 or 1, an unordered map key or a
 // trailing byte is an error, so every accepted payload re-encodes to
 // its own bytes. Every count is checked against the bytes left before
 // anything is allocated for it, so a few bytes claiming a million rows
-// fail at once. A State's row order is not checked here; callers check
-// it (State.CheckOrder) where they adopt one.
+// fail at once. A decoded State must keep the State order contract
+// (State.CheckOrder), or the payload fails: every State a payload
+// carries is then safe to adopt as a sorted base.
 
 // magic self-identifies a binary payload. Payloads in any other format
 // (a gob stream from a peer on an older build, say) fail at the first
@@ -86,6 +90,12 @@ func (e *Encoder) Float(f float64) {
 func (e *Encoder) Str(s string) {
 	e.Uint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
+}
+
+// Blob writes a byte string.
+func (e *Encoder) Blob(b []byte) {
+	e.Uint(uint64(len(b)))
+	e.buf = append(e.buf, b...)
 }
 
 // Strs writes a list of strings.
@@ -190,7 +200,9 @@ func (d *Decoder) Close() error {
 	return d.err
 }
 
-func (d *Decoder) fail(format string, args ...any) {
+// Fail fails the payload with a decode error of its owner's, unless an
+// earlier error already has.
+func (d *Decoder) Fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("agg: "+format, args...)
 	}
@@ -203,7 +215,7 @@ func (d *Decoder) Uint() uint64 {
 	}
 	x, n := binary.Uvarint(d.b)
 	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
-		d.fail("truncated or non-minimal uvarint")
+		d.Fail("truncated or non-minimal uvarint")
 		return 0
 	}
 	d.b = d.b[n:]
@@ -216,7 +228,7 @@ func (d *Decoder) Int() int64 {
 	}
 	x, n := binary.Varint(d.b)
 	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
-		d.fail("truncated or non-minimal varint")
+		d.Fail("truncated or non-minimal varint")
 		return 0
 	}
 	d.b = d.b[n:]
@@ -227,7 +239,7 @@ func (d *Decoder) Int() int64 {
 func (d *Decoder) int() int {
 	x := d.Int()
 	if int64(int(x)) != x {
-		d.fail("int %d overflows", x)
+		d.Fail("int %d overflows", x)
 		return 0
 	}
 	return int(x)
@@ -238,7 +250,7 @@ func (d *Decoder) Bool() bool {
 		return false
 	}
 	if len(d.b) == 0 || d.b[0] > 1 {
-		d.fail("truncated or invalid bool")
+		d.Fail("truncated or invalid bool")
 		return false
 	}
 	c := d.b[0]
@@ -251,7 +263,7 @@ func (d *Decoder) Float() float64 {
 		return 0
 	}
 	if len(d.b) < 8 {
-		d.fail("truncated float")
+		d.Fail("truncated float")
 		return 0
 	}
 	f := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
@@ -259,17 +271,35 @@ func (d *Decoder) Float() float64 {
 	return f
 }
 
-func (d *Decoder) Str() string {
+// raw reads a length and that many bytes, which alias the payload.
+func (d *Decoder) raw() []byte {
 	n := d.Uint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)) {
-		d.fail("string length %d exceeds the %d bytes left", n, len(d.b))
-		return ""
+		d.Fail("length %d exceeds the %d bytes left", n, len(d.b))
+		return nil
 	}
 	raw := d.b[:n]
 	d.b = d.b[n:]
+	return raw
+}
+
+// Blob reads a byte string Blob wrote, copied out of the payload; an
+// empty one reads as nil.
+func (d *Decoder) Blob() []byte {
+	if raw := d.raw(); len(raw) > 0 {
+		return append([]byte(nil), raw...)
+	}
+	return nil
+}
+
+func (d *Decoder) Str() string {
+	raw := d.raw()
+	if d.err != nil {
+		return ""
+	}
 	if s, ok := d.intern[string(raw)]; ok {
 		return s
 	}
@@ -289,7 +319,7 @@ func (d *Decoder) Count(minSize int) int {
 		return 0
 	}
 	if n > uint64(len(d.b)/minSize) {
-		d.fail("count %d exceeds the %d bytes left", n, len(d.b))
+		d.Fail("count %d exceeds the %d bytes left", n, len(d.b))
 		return 0
 	}
 	return int(n)
@@ -308,7 +338,8 @@ func (d *Decoder) Strs() []string {
 	return out
 }
 
-// State reads a State; it is never nil, and its empty row lists are.
+// State reads a State; it is never nil, and its empty row lists are. A
+// State out of the order contract fails the payload.
 func (d *Decoder) State() *State {
 	st := &State{}
 	if n := d.Count(minMetaBytes); n > 0 {
@@ -356,6 +387,12 @@ func (d *Decoder) State() *State {
 			p.DstLine = d.int()
 		}
 	}
+	if d.err == nil {
+		if err := st.CheckOrder(); err != nil {
+			d.err = err
+			d.b = nil
+		}
+	}
 	return st
 }
 
@@ -369,7 +406,7 @@ func DecodeMap[V any](d *Decoder, minSize int, get func() V) map[string]V {
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.Str()
 		if i > 0 && k <= prev {
-			d.fail("map key %q after %q", k, prev)
+			d.Fail("map key %q after %q", k, prev)
 			break
 		}
 		m[k] = get()

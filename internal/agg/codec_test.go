@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 
 // randomState builds a State whose every field is set: floats over six
 // decades (and signed zeros), empty and long strings, negative ints,
-// and every Stats and Health field nonzero. Rows are not ordered: the
-// codec does not look at row order.
+// and every Stats and Health field nonzero. Rows are sorted and keyed
+// once each, as the decoder requires.
 func randomState(rng *rand.Rand) *State {
 	str := func() string {
 		switch rng.Intn(4) {
@@ -64,6 +65,10 @@ func randomState(rng *rand.Rand) *State {
 			Waste: float(), Use: float(), SrcLine: i(), DstLine: i(),
 		})
 	}
+	slices.SortStableFunc(st.Metas, func(x, y MetaState) int { return cmpMeta(&x, &y) })
+	st.Metas = slices.CompactFunc(st.Metas, func(x, y MetaState) bool { return cmpMeta(&x, &y) == 0 })
+	slices.SortStableFunc(st.Pairs, func(x, y PairState) int { return cmpPair(&x, &y) })
+	st.Pairs = slices.CompactFunc(st.Pairs, func(x, y PairState) bool { return cmpPair(&x, &y) == 0 })
 	return st
 }
 
@@ -161,13 +166,35 @@ func TestStateCodecRejects(t *testing.T) {
 }
 
 // TestStateCodecMinimalRows: rows of the smallest encoding, all fields
-// zero, decode at any count; the count check bounds by exactly that
-// size.
+// zero, pass the count check at any count, which bounds by exactly
+// that size. One decodes; more share a key, and fail the order check
+// instead.
 func TestStateCodecMinimalRows(t *testing.T) {
-	for _, st := range []*State{{Metas: make([]MetaState, 100)}, {Pairs: make([]PairState, 100)}} {
-		got, err := decodeState(encodeState(st))
-		if err != nil || !reflect.DeepEqual(got, st) {
-			t.Fatalf("%d zero metas, %d zero pairs: err %v", len(st.Metas), len(st.Pairs), err)
+	for _, n := range []int{1, 100} {
+		for _, st := range []*State{{Metas: make([]MetaState, n)}, {Pairs: make([]PairState, n)}} {
+			got, err := decodeState(encodeState(st))
+			if n == 1 && (err != nil || !reflect.DeepEqual(got, st)) {
+				t.Fatalf("one zero meta or pair: err %v", err)
+			}
+			if n > 1 && (err == nil || !strings.Contains(err.Error(), "out of order")) {
+				t.Fatalf("%d zero metas, %d zero pairs: err %v, want the order check's", len(st.Metas), len(st.Pairs), err)
+			}
+		}
+	}
+}
+
+// TestStateCodecChecksOrder: a State with rows out of order, or with a
+// key twice, fails its payload.
+func TestStateCodecChecksOrder(t *testing.T) {
+	a, b := PairState{Tool: "t", Src: "a"}, PairState{Tool: "t", Src: "b"}
+	for name, st := range map[string]*State{
+		"misordered pairs":   {Pairs: []PairState{b, a}},
+		"duplicate pair":     {Pairs: []PairState{a, a}},
+		"misordered metas":   {Metas: []MetaState{{Tool: "u"}, {Tool: "t"}}},
+		"duplicate meta key": {Metas: []MetaState{{Tool: "t"}, {Tool: "t", Profiles: 1}}},
+	} {
+		if _, err := decodeState(encodeState(st)); err == nil || !strings.Contains(err.Error(), "out of order") {
+			t.Errorf("%s: err %v, want out of order", name, err)
 		}
 	}
 }

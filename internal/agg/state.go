@@ -18,9 +18,8 @@ import (
 // Pairs strictly ascending by (Tool, Program, Src, Dst, Chain), byte-
 // wise string order, no key twice. Partition and Merge produce this
 // order, and Merge's linear pass and Scope's binary search depend on
-// it: a State from anywhere else (a decoded peer delta, partition
-// image or snapshot) must pass CheckOrder before it is merged or
-// scoped.
+// it. Decoder.State checks it (CheckOrder), so every State decoded
+// from a peer delta, partition image or snapshot keeps it too.
 type State struct {
 	Metas []MetaState
 	Pairs []PairState

@@ -154,9 +154,10 @@ func (sd *ShardDelta) AppendBinary(dst []byte) []byte {
 	return e.Bytes()
 }
 
-// decodeShardDelta reads one /v1/shard POST reply and rejects a delta
-// whose changed partitions fail checkOrder. Its Export and maps are
-// never nil.
+// decodeShardDelta reads one /v1/shard POST reply. The decoder rejects
+// a changed partition out of State order, which the coordinator's fold
+// (State.Scope's binary search) would silently drop rows of. Its Export
+// and maps are never nil.
 func decodeShardDelta(raw []byte) (*ShardDelta, error) {
 	d := agg.NewDecoder(raw)
 	dl := &store.ExportDelta{Full: d.Bool()}
@@ -166,9 +167,6 @@ func decodeShardDelta(raw []byte) (*ShardDelta, error) {
 	sd := &ShardDelta{Delta: dl, Hinted: agg.DecodeMap(d, 1, d.Strs)}
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("decoding: %w", err)
-	}
-	if err := checkOrder(dl); err != nil {
-		return nil, err
 	}
 	return sd, nil
 }
@@ -181,19 +179,6 @@ func appendVersion(e *agg.Encoder, v *store.ExportVersion) {
 
 func readVersion(d *agg.Decoder) store.ExportVersion {
 	return store.ExportVersion{Gen: d.Uint(), BucketIdx: d.Int(), Epochs: agg.DecodeMap(d, 1, d.Uint)}
-}
-
-// checkOrder rejects a delta whose changed partitions break agg.State's
-// order contract: the coordinator folds each partition through
-// State.Scope's binary search, which would silently drop the rows of
-// an unsorted one. One linear pass over the changed partitions only.
-func checkOrder(d *store.ExportDelta) error {
-	for id, st := range d.Export.Parts {
-		if err := st.CheckOrder(); err != nil {
-			return fmt.Errorf("partition %q: %w", id, err)
-		}
-	}
-	return nil
 }
 
 func hintedEqual(a, b map[string][]string) bool {

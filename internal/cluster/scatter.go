@@ -115,27 +115,13 @@ func (r *Router) FetchPartition(ctx context.Context, peer, pusherID string) (*Pa
 }
 
 // AppendBinary appends the transfer's binary encoding (agg.Encoder): a
-// presence flag and the image (WindowNanos, the buckets as (start,
-// presence flag, State), a presence flag and the rollup), then the
+// presence flag and the image (store.PartitionImage.Encode), then the
 // dedup window.
 func (pt *PartitionTransfer) AppendBinary(dst []byte) []byte {
 	e := agg.NewEncoder(dst)
-	optState := func(st *agg.State) {
-		e.Bool(st != nil)
-		if st != nil {
-			e.State(st)
-		}
-	}
-	img := pt.Image
-	e.Bool(img != nil)
-	if img != nil {
-		e.Int(img.WindowNanos)
-		e.Uint(uint64(len(img.Buckets)))
-		for _, b := range img.Buckets {
-			e.Int(b.StartUnixNano)
-			optState(b.State)
-		}
-		optState(img.Rollup)
+	e.Bool(pt.Image != nil)
+	if pt.Image != nil {
+		pt.Image.Encode(e)
 	}
 	e.Uint(pt.DedupMax)
 	e.Uint(uint64(len(pt.DedupBits)))
@@ -145,32 +131,14 @@ func (pt *PartitionTransfer) AppendBinary(dst []byte) []byte {
 	return e.Bytes()
 }
 
-// decodePartitionTransfer reads one /v1/shard?pusher= reply and rejects
-// a transfer the store could not install. A bucket with no State would
-// make ReplacePartition dereference nil. Every State must also pass
-// agg.State.CheckOrder: ReplacePartition adopts them as sorted bases
-// and merges them linearly, which would silently mis-merge a
-// misordered or duplicate-key State.
+// decodePartitionTransfer reads one /v1/shard?pusher= reply. The
+// decoder rejects an image the store could not install: a bucket with
+// no State, or a State out of order.
 func decodePartitionTransfer(raw []byte) (*PartitionTransfer, error) {
 	d := agg.NewDecoder(raw)
-	optState := func() *agg.State {
-		if d.Bool() {
-			return d.State()
-		}
-		return nil
-	}
 	pt := new(PartitionTransfer)
 	if d.Bool() {
-		img := &store.PartitionImage{WindowNanos: d.Int()}
-		if n := d.Count(2); n > 0 {
-			img.Buckets = make([]store.PartitionBucket, n)
-			for i := range img.Buckets {
-				img.Buckets[i].StartUnixNano = d.Int()
-				img.Buckets[i].State = optState()
-			}
-		}
-		img.Rollup = optState()
-		pt.Image = img
+		pt.Image = store.DecodePartitionImage(d)
 	}
 	pt.DedupMax = d.Uint()
 	if n := d.Count(1); n > 0 {
@@ -181,22 +149,6 @@ func decodePartitionTransfer(raw []byte) (*PartitionTransfer, error) {
 	}
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("decoding partition transfer: %w", err)
-	}
-	if pt.Image == nil {
-		return pt, nil
-	}
-	if st := pt.Image.Rollup; st != nil {
-		if err := st.CheckOrder(); err != nil {
-			return nil, fmt.Errorf("partition transfer: rollup: %w", err)
-		}
-	}
-	for i, b := range pt.Image.Buckets {
-		if b.State == nil {
-			return nil, fmt.Errorf("partition transfer: bucket %d has no state", i)
-		}
-		if err := b.State.CheckOrder(); err != nil {
-			return nil, fmt.Errorf("partition transfer: bucket %d: %w", i, err)
-		}
 	}
 	return pt, nil
 }

@@ -501,10 +501,7 @@ func TestDedupTombstoneSnapshotRoundTrip(t *testing.T) {
 	d.Process("A", 9, apply)
 	d.Process("B", 1, apply)
 	d.Process("C", 1, apply) // evicts A
-	blob, err := d.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := d.State()
 	d2 := NewDedup(128, 2)
 	if err := d2.Load(blob); err != nil {
 		t.Fatal(err)

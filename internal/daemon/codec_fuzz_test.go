@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/agg"
 )
 
 // fuzzTS is a seed timestamp with every nanosecond digit in use.
@@ -62,6 +64,52 @@ func FuzzDecodeHint(f *testing.F) {
 		}
 		if got := encodeHint(ts, id, seq, ctype, body); !bytes.Equal(got, payload) {
 			t.Fatalf("accepted hint re-encodes differently:\n in  %x\n out %x", payload, got)
+		}
+	})
+}
+
+// FuzzDedupLoad: Load reads the dedup image out of a snapshot's extra
+// blob at startup. The snapshot's CRC does not vouch that an encoder
+// wrote the bytes, so no image may make the load, or ingest through the
+// windows it installs, panic. An accepted image of the loading Dedup's
+// window width re-encodes to its own bytes; one of another width
+// re-encodes to an image that itself loads and re-encodes unchanged.
+// Seeds are an image with windows and a tombstone, its truncations, an
+// empty table's image and an image of another width.
+//
+// Run the fuzzer with:
+//
+//	go test -run '^$' -fuzz '^FuzzDedupLoad$' -fuzztime 10s -fuzzminimizetime 100x ./internal/daemon
+func FuzzDedupLoad(f *testing.F) {
+	src := NewDedup(64, 2)
+	src.Process("a", 70, ok)
+	src.Process("a", 3, ok)
+	src.Process("b", 1, ok)
+	src.Process("c", 1, ok) // evicts "a" to a tombstone
+	src.Process("c", 1, ok) // a duplicate
+	addTruncations(f, src.State())
+	f.Add(NewDedup(64, 2).State())
+	wide := NewDedup(128, 2)
+	wide.Process("a", 5, ok)
+	f.Add(wide.State())
+	f.Fuzz(func(t *testing.T, image []byte) {
+		d := NewDedup(64, 2)
+		if d.Load(image) != nil {
+			return
+		}
+		got := d.State()
+		if agg.NewDecoder(image).Uint() == d.Window() {
+			if !bytes.Equal(got, image) {
+				t.Fatal("an accepted image does not re-encode to its bytes")
+			}
+		} else {
+			again := NewDedup(64, 2)
+			if err := again.Load(got); err != nil || !bytes.Equal(again.State(), got) {
+				t.Fatalf("the re-encoding of a foreign-width image does not round-trip: %v", err)
+			}
+		}
+		for _, id := range []string{"a", "b", "c", "new"} {
+			d.Process(id, 65, ok)
 		}
 	})
 }

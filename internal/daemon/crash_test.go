@@ -3,7 +3,10 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/fault"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -475,6 +479,56 @@ func TestGracefulShutdownRecoversInstantly(t *testing.T) {
 			t.Fatal("graceful shutdown + recovery drifted")
 		}
 	})
+}
+
+// TestGobSnapshotSkipped: a snapshot an older build wrote in gob, CRC
+// trailer and all, fails the binary format's magic after an upgrade. It
+// is skipped and counted like a corrupt one, and startup still comes up
+// serving the journal's batches.
+func TestGobSnapshotSkipped(t *testing.T) {
+	dir := t.TempDir()
+	now := stepClock()
+	prof := testProfile(t, 1)
+	var body bytes.Buffer
+	prof.WriteJSON(&body)
+
+	d := openDurable(t, dir, wal.Options{}, 0, now)
+	for i := 0; i < 2; i++ {
+		if resp := ingest(t, d.ts, body.Bytes()); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %d: HTTP %d", i, resp.StatusCode)
+		}
+	}
+	want := getProfile(t, d, prof.Tool)
+	d.crash()
+
+	// The old layout: one gob value, then [CRC-32C][magic "WSN1"].
+	old := struct {
+		Version     int
+		Anchor      uint64
+		WindowNanos int64
+		Ingested    uint64
+		Rollup      *agg.State
+		Extra       []byte
+	}{Version: 1, Anchor: 1, WindowNanos: int64(time.Minute), Ingested: 1, Rollup: &agg.State{}, Extra: []byte("dedup")}
+	var snap bytes.Buffer
+	if err := gob.NewEncoder(&snap).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	raw := binary.BigEndian.AppendUint32(snap.Bytes(), crc32.Checksum(snap.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	raw = binary.BigEndian.AppendUint32(raw, 0x57534e31)
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d = openDurable(t, dir, wal.Options{}, 0, now)
+	defer d.crash()
+	rec := d.pers.recovery
+	if rec.SnapshotsSkipped != 1 || rec.SnapshotLoaded || rec.ReplayedBatches != 2 {
+		t.Fatalf("gob snapshot not skipped for the journal: %+v", rec)
+	}
+	if got := getProfile(t, d, prof.Tool); !bytes.Equal(got, want) {
+		t.Fatal("recovery beside a gob snapshot lost acknowledged data")
+	}
 }
 
 // TestSnapshotCRCFallback: a bit-rotted snapshot — even one whose gob

@@ -1,10 +1,10 @@
 package daemon
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
+
+	"repro/internal/agg"
 )
 
 // Dedup is witchd's half of exactly-once ingest: a bounded per-pusher
@@ -364,87 +364,78 @@ func (d *Dedup) Adopt(id string, max uint64, bits []uint64, barrier func(install
 	d.release(w)
 }
 
-// dedupImage is the gob codec for snapshot persistence. Tombs is
-// absent from pre-tombstone snapshots and decodes as nil, which Load
-// treats as empty.
-type dedupImage struct {
-	Window  uint64
-	Dups    uint64
-	Stale   uint64
-	Evicted uint64
-	Pushers map[string]pusherImage
-	Tombs   map[string]uint64
-}
-
-type pusherImage struct {
-	Max  uint64
-	Bits []uint64
-}
-
 // State serializes the dedup windows for the store snapshot's extra
-// blob. Per-pusher locks are not taken: every window WRITE happens
-// inside the apply barrier (Process's commit callback runs under its
-// read side), and State is only called with the apply
-// write-lock held — so the windows are frozen for the duration, and
-// concurrent pre-apply duplicate checks are read-only.
-func (d *Dedup) State() ([]byte, error) {
+// blob, one agg payload (internal/agg's codec):
+//
+//	window, dups, stale, evicted   uint
+//	pushers                        map of pusher id to (max uint, bits
+//	                               list of uint)
+//	tombstones                     map of pusher id to max uint
+//
+// Per-pusher locks are not taken: every window WRITE happens inside
+// the apply barrier (Process's commit callback runs under its read
+// side), and State is only called with the apply write-lock held — so
+// the windows are frozen for the duration, and concurrent pre-apply
+// duplicate checks are read-only.
+func (d *Dedup) State() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	img := dedupImage{
-		Window:  d.window,
-		Dups:    d.dups,
-		Stale:   d.stale,
-		Evicted: d.evicted,
-		Pushers: make(map[string]pusherImage, len(d.pushers)),
+	e := agg.NewEncoder(nil)
+	for _, x := range [...]uint64{d.window, d.dups, d.stale, d.evicted} {
+		e.Uint(x)
 	}
-	for id, w := range d.pushers {
-		img.Pushers[id] = pusherImage{Max: w.max, Bits: append([]uint64(nil), w.bits...)}
-	}
-	img.Tombs = make(map[string]uint64, len(d.tombs))
-	for id, t := range d.tombs {
-		img.Tombs[id] = t.max
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
-		return nil, fmt.Errorf("daemon: encoding dedup state: %w", err)
-	}
-	return buf.Bytes(), nil
+	agg.EncodeMap(e, d.pushers, func(w *pusherWindow) {
+		e.Uint(w.max)
+		e.Uint(uint64(len(w.bits)))
+		for _, x := range w.bits {
+			e.Uint(x)
+		}
+	})
+	agg.EncodeMap(e, d.tombs, func(t tombstone) { e.Uint(t.max) })
+	return e.Bytes()
 }
 
-// Load replaces the dedup state from a snapshot blob. A window-width
-// mismatch keeps each pusher's max but marks its whole window seen —
-// the conservative direction: a late out-of-order batch below max is
-// re-acked rather than risking a double-merge with marks whose ring
-// positions no longer line up.
+// Load replaces the dedup state from a snapshot blob; a blob that does
+// not decode leaves it unchanged. Windows and tombstones take LRU ticks
+// in pusher id order. A window-width mismatch keeps each pusher's max
+// but marks its whole window seen — the conservative direction: a late
+// out-of-order batch below max is re-acked rather than risking a
+// double-merge with marks whose ring positions no longer line up.
 func (d *Dedup) Load(blob []byte) error {
 	if len(blob) == 0 {
 		return nil
 	}
-	var img dedupImage
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&img); err != nil {
-		return fmt.Errorf("daemon: decoding dedup state: %w", err)
-	}
+	dec := agg.NewDecoder(blob)
+	window, dups, stale, evicted := dec.Uint(), dec.Uint(), dec.Uint(), dec.Uint()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.dups, d.stale, d.evicted = img.Dups, img.Stale, img.Evicted
-	d.pushers = make(map[string]*pusherWindow, len(img.Pushers))
-	d.tombs = make(map[string]tombstone, len(img.Tombs))
-	for id, max := range img.Tombs {
-		d.tick++
-		d.tombs[id] = tombstone{max: max, tick: d.tick}
-	}
 	words := d.window / 64
-	for id, pi := range img.Pushers {
-		d.tick++
-		w := &pusherWindow{max: pi.Max, bits: make([]uint64, words), last: d.tick}
-		if img.Window == d.window && uint64(len(pi.Bits)) == words {
-			copy(w.bits, pi.Bits)
-		} else {
+	tick := d.tick
+	pushers := agg.DecodeMap(dec, 2, func() *pusherWindow {
+		tick++
+		w := &pusherWindow{max: dec.Uint(), last: tick}
+		w.bits = make([]uint64, dec.Count(1))
+		for i := range w.bits {
+			w.bits[i] = dec.Uint()
+		}
+		if window != d.window {
+			w.bits = make([]uint64, words)
 			for i := range w.bits {
 				w.bits[i] = ^uint64(0)
 			}
+		} else if uint64(len(w.bits)) != words {
+			dec.Fail("dedup window of %d words, want %d", len(w.bits), words)
 		}
-		d.pushers[id] = w
+		return w
+	})
+	tombs := agg.DecodeMap(dec, 1, func() tombstone {
+		tick++
+		return tombstone{max: dec.Uint(), tick: tick}
+	})
+	if err := dec.Close(); err != nil {
+		return fmt.Errorf("daemon: decoding dedup state: %w", err)
 	}
+	d.dups, d.stale, d.evicted = dups, stale, evicted
+	d.pushers, d.tombs, d.tick = pushers, tombs, tick
 	return nil
 }

@@ -1,8 +1,11 @@
 package daemon
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -109,10 +112,7 @@ func TestDedupStateRoundTrip(t *testing.T) {
 	process(t, d, "a", 1)
 	process(t, d, "a", 2)
 	process(t, d, "b", 9)
-	blob, err := d.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := d.State()
 
 	r := NewDedup(128, 8)
 	if err := r.Load(blob); err != nil {
@@ -139,10 +139,7 @@ func TestDedupStateRoundTrip(t *testing.T) {
 func TestDedupLoadWindowMismatchIsConservative(t *testing.T) {
 	d := NewDedup(128, 8)
 	process(t, d, "a", 100)
-	blob, err := d.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := d.State()
 
 	// Restart with a narrower window: ring positions no longer line up,
 	// so everything at or below max must re-ack (possible over-dedup)
@@ -171,5 +168,53 @@ func TestDedupManyPushersStayIndependent(t *testing.T) {
 	}
 	if st := d.Stats(); st.Pushers != 32 || st.EvictedPushers != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestDedupLoadBoundsCounts: every count in a valid dedup image — the
+// pusher windows, the tombstones, one window's bit words — rewritten to
+// claim 1<<20 elements fails the load without allocating for them, and
+// leaves the table as it was.
+func TestDedupLoadBoundsCounts(t *testing.T) {
+	src := NewDedup(64, 1)
+	src.Process("bomb-tomb", 1, ok)
+	const word = 1<<5 | 1<<9 | 1<<33 | 1<<60
+	for _, seq := range []uint64{5, 9, 33, 60} {
+		src.Process("bomb-pusher", seq, ok) // evicts "bomb-tomb" to a tombstone
+	}
+	image := src.State()
+	str := func(s string) []byte { return append([]byte{byte(len(s))}, s...) }
+	for _, c := range []struct {
+		name string
+		elem []byte
+	}{
+		{"pushers", str("bomb-pusher")},
+		{"tombstones", str("bomb-tomb")},
+		{"bits", binary.AppendUvarint(nil, word)},
+	} {
+		at := append([]byte{1}, c.elem...)
+		if n := bytes.Count(image, at); n != 1 {
+			t.Fatalf("%s: count found %d times in the image", c.name, n)
+		}
+		i := bytes.Index(image, at)
+		bomb := append(binary.AppendUvarint(append([]byte(nil), image[:i]...), 1<<20), image[i+1:]...)
+		d := NewDedup(64, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := d.Load(bomb)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a count of 1<<20 loaded", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s: loading %d bytes allocated %d MB", c.name, len(bomb), grew>>20)
+		}
+		if st := d.Stats(); st.Pushers != 0 || st.Tombstones != 0 {
+			t.Errorf("%s: a rejected load changed the table: %+v", c.name, st)
+		}
+	}
+	d := NewDedup(64, 1)
+	if err := d.Load(image); err != nil || !bytes.Equal(d.State(), image) {
+		t.Fatalf("the unbombed image: %v", err)
 	}
 }

@@ -309,10 +309,7 @@ func (p *persistence) snapshot() error {
 	// store image: both cover exactly the batches at or below lsn.
 	var extra []byte
 	if p.ded != nil {
-		var err error
-		if extra, err = p.ded.State(); err != nil {
-			return err
-		}
+		extra = p.ded.State()
 	}
 	tmp := filepath.Join(p.dir, "snap.tmp")
 	f, err := os.Create(tmp)

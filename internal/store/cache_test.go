@@ -47,7 +47,7 @@ func TestQueryCacheHitsAndEpochInvalidation(t *testing.T) {
 	}
 	matchesOracle := func(s *Store, what string) {
 		t.Helper()
-		if !bytes.Equal(exportGob(t, s.Export(0)), exportGob(t, oracle.Export(0))) {
+		if !bytes.Equal(exportBytes(s.Export(0)), exportBytes(oracle.Export(0))) {
 			t.Fatalf("%s: export diverges from the uncached oracle", what)
 		}
 	}
@@ -143,7 +143,7 @@ func TestWindowedCacheFollowsClock(t *testing.T) {
 	if s.ExportVersioned(w) == v1 {
 		t.Fatal("clock crossed a bucket boundary; cache should have invalidated")
 	}
-	if !bytes.Equal(exportGob(t, s.Export(w)), exportGob(t, oracle.Export(w))) {
+	if !bytes.Equal(exportBytes(s.Export(w)), exportBytes(oracle.Export(w))) {
 		t.Fatal("windowed export diverges from the uncached oracle")
 	}
 	// The ingested bucket ages out of the window entirely.
@@ -151,7 +151,7 @@ func TestWindowedCacheFollowsClock(t *testing.T) {
 	if exp := s.Export(w); len(exp.Parts) != 0 {
 		t.Fatalf("aged-out window still exports %d partitions", len(exp.Parts))
 	}
-	if !bytes.Equal(exportGob(t, s.Export(w)), exportGob(t, oracle.Export(w))) {
+	if !bytes.Equal(exportBytes(s.Export(w)), exportBytes(oracle.Export(w))) {
 		t.Fatal("aged-out windowed export diverges from the uncached oracle")
 	}
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -12,22 +11,12 @@ import (
 	"repro/internal/agg"
 )
 
-// exportGob is the canonical byte form of an export: gob over the
-// partitions in id order (gob encodes maps in iteration order).
-func exportGob(t *testing.T, e *Export) []byte {
-	t.Helper()
-	c := struct {
-		IDs   []string
-		Parts []*agg.State
-	}{IDs: sortedIDs(e)}
-	for _, id := range c.IDs {
-		c.Parts = append(c.Parts, e.Parts[id])
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&c); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// exportBytes is the canonical byte form of an export: the agg codec's
+// partition map, in id order.
+func exportBytes(e *Export) []byte {
+	enc := agg.NewEncoder(nil)
+	agg.EncodeMap(enc, e.Parts, enc.State)
+	return enc.Bytes()
 }
 
 // deltaBaseline is what a scatter coordinator holds for one peer and
@@ -121,13 +110,13 @@ func TestExportReuseMatchesNoCache(t *testing.T) {
 			}
 
 			for _, w := range windows {
-				want := exportGob(t, twin.Export(w))
-				if got := exportGob(t, s.Export(w)); !bytes.Equal(got, want) {
+				want := exportBytes(twin.Export(w))
+				if got := exportBytes(s.Export(w)); !bytes.Equal(got, want) {
 					t.Fatalf("seed %d op %d (%s), window %v: export differs from the NoCache twin", seed, op, what, w)
 				}
 				b := base[w]
 				b.apply(s.ExportDelta(w, b.ver))
-				if got := exportGob(t, b.exp); !bytes.Equal(got, want) {
+				if got := exportBytes(b.exp); !bytes.Equal(got, want) {
 					t.Fatalf("seed %d op %d (%s), window %v: delta-patched baseline differs from the NoCache twin", seed, op, what, w)
 				}
 			}
@@ -246,13 +235,13 @@ func TestExportReuseRace(t *testing.T) {
 		}
 	}
 	for i, w := range windows {
-		want := exportGob(t, twin.Export(w))
-		if got := exportGob(t, s.Export(w)); !bytes.Equal(got, want) {
+		want := exportBytes(twin.Export(w))
+		if got := exportBytes(s.Export(w)); !bytes.Equal(got, want) {
 			t.Fatalf("window %v: export at quiescence differs from the NoCache twin", w)
 		}
 		b := bases[i]
 		b.apply(s.ExportDelta(w, b.ver))
-		if got := exportGob(t, b.exp); !bytes.Equal(got, want) {
+		if got := exportBytes(b.exp); !bytes.Equal(got, want) {
 			t.Fatalf("window %v: delta-patched baseline at quiescence differs from the NoCache twin", w)
 		}
 	}

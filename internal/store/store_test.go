@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 	"sort"
@@ -337,11 +336,7 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	if _, _, err := s.Restore(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("garbage restored without error")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snapshotFile{Version: snapshotVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, _, err := s.Restore(bytes.NewReader(sealSnapshot(snapshotVersion+1, nil))); err == nil {
 		t.Fatal("future snapshot version restored without error")
 	}
 }
@@ -363,21 +358,18 @@ func TestRestoreRejectsMisorderedState(t *testing.T) {
 	swapped := &agg.State{Metas: good.Metas, Pairs: []agg.PairState{good.Pairs[1], good.Pairs[0]}}
 	twice := &agg.State{Metas: []agg.MetaState{good.Metas[0], good.Metas[0]}, Pairs: good.Pairs[:1]}
 	start := time.Unix(1700000000, 0).UnixNano()
-	for name, img := range map[string]snapshotFile{
-		"misordered bucket":          {Buckets: []bucketImage{{StartUnixNano: start, State: swapped}}},
-		"duplicate-key keyed bucket": {Buckets: []bucketImage{{StartUnixNano: start, Parts: map[string]*agg.State{"p": twice}}}},
-		"misordered rollup":          {Rollup: swapped},
-		"duplicate-key keyed rollup": {RollupParts: map[string]*agg.State{"p": twice}},
+	bucket := func(st *agg.State) *PartitionImage {
+		return &PartitionImage{WindowNanos: int64(time.Minute), Buckets: []PartitionBucket{{StartUnixNano: start, State: st}}}
+	}
+	for name, imgs := range map[string]map[string]*PartitionImage{
+		"misordered bucket":          {"": bucket(swapped)},
+		"duplicate-key keyed bucket": {"p": bucket(twice)},
+		"misordered rollup":          {"": {WindowNanos: int64(time.Minute), Rollup: swapped}},
+		"duplicate-key keyed rollup": {"p": {WindowNanos: int64(time.Minute), Rollup: twice}},
 	} {
-		img.Version = snapshotVersion
-		img.WindowNanos = int64(time.Minute)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
-			t.Fatal(err)
-		}
 		s := New(Config{})
 		s.IngestAt(synth("kept", 4), time.Unix(1700000000, 0))
-		if _, _, err := s.Restore(&buf); err == nil {
+		if _, _, err := s.Restore(bytes.NewReader(sealSnapshot(snapshotVersion, imgs))); err == nil {
 			t.Errorf("%s: restored without error", name)
 		}
 		if got := view(s, 0).SnapshotTop("dead", "", 0); got == nil || got.Program != "kept" {
@@ -463,7 +455,7 @@ func TestSnapshotRacesEviction(t *testing.T) {
 // TestSnapshotChecksumDetectsCorruption: every snapshot carries a
 // CRC-32C trailer; a single flipped byte anywhere in the payload fails
 // the restore loudly (the recovery layer then falls back to an older
-// snapshot), while a trailer-less legacy snapshot still loads.
+// snapshot), and so does a snapshot without its trailer.
 func TestSnapshotChecksumDetectsCorruption(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Window: time.Minute, Buckets: 4, Now: clk.now})
@@ -497,18 +489,15 @@ func TestSnapshotChecksumDetectsCorruption(t *testing.T) {
 	if _, _, err := New(Config{}).Restore(bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupt trailer restored silently")
 	}
-	// Legacy snapshot (no trailer): accepted, data intact.
-	legacy := snap[:len(snap)-8]
+	// A snapshot without its trailer is rejected, and the store keeps
+	// what it held.
 	r := New(Config{Window: time.Minute, Buckets: 4, Now: clk.now})
-	anchor, extra, err := r.Restore(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy trailer-less snapshot rejected: %v", err)
+	r.Ingest(synth("kept", 4))
+	if _, _, err := r.Restore(bytes.NewReader(snap[:len(snap)-8])); err == nil {
+		t.Fatal("trailer-less snapshot restored")
 	}
-	if anchor != 7 || string(extra) != "blob" {
-		t.Fatalf("legacy restore drifted: anchor=%d extra=%q", anchor, extra)
-	}
-	if got := profiles(r, 0); got != 6 {
-		t.Fatalf("legacy restore lost profiles: %d", got)
+	if got := profiles(r, 0); got != 1 {
+		t.Fatalf("a rejected trailer-less restore changed the store: %d profiles", got)
 	}
 }
 
