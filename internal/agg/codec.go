@@ -11,8 +11,10 @@ import (
 // The binary encoding is the one form in which witchd writes States,
 // between nodes and at rest: the delta scatter leg, the anti-entropy
 // partition transfer, the digest's checksum, the store snapshot and the
-// dedup image all use it. It follows the WITCHB1 profile codec's layout
-// (uvarint counts and lengths, float bits little-endian) and is
+// dedup image all use it. It shares its field encodings with the
+// WITCHB2 profile codec in package witch (uvarint counts and lengths,
+// zig-zag ints, one-byte bools, float bits little-endian, Stats and
+// Health inlined in the same field order) and is
 // canonical: the bytes are a function of the value, so equal data
 // hashes equal on every node and a snapshot of a restored store is the
 // snapshot it was restored from.

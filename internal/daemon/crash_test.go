@@ -20,6 +20,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/store"
 	"repro/internal/wal"
+	"repro/witch"
 )
 
 // durable is one incarnation of a crash-safe witchd over a shared data
@@ -593,5 +594,73 @@ func TestSnapshotCRCFallback(t *testing.T) {
 	defer d2.crash()
 	if d2.pers.recovery.SnapshotLoaded {
 		t.Fatalf("loaded a corrupt snapshot: %+v", d2.pers.recovery)
+	}
+}
+
+// TestLegacyBinaryJournalReplays: a journal written while pushers sent
+// WITCHB1 documents still replays after an upgrade. The WITCHB1 fixture
+// batch, journaled as it arrived, recovers to the /v1/profile that the
+// same batch sent as WITCHB2 builds on a fresh node.
+func TestLegacyBinaryJournalReplays(t *testing.T) {
+	legacy, err := os.ReadFile("../../witch/testdata/witchb1_batch.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec witch.BatchDecoder
+	profs, err := dec.Decode(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tools []string
+	var current []byte
+	for _, pr := range profs {
+		tools = append(tools, pr.Tool)
+		current = pr.AppendBinary(current)
+	}
+	if bytes.HasPrefix(current, legacy[:8]) {
+		t.Fatal("AppendBinary still writes the legacy format")
+	}
+
+	live := openDurable(t, t.TempDir(), wal.Options{}, 0, stepClock())
+	if resp := ingest(t, live.ts, current); resp.StatusCode != http.StatusOK {
+		t.Fatalf("WITCHB2 ingest: HTTP %d", resp.StatusCode)
+	}
+	want := map[string][]byte{}
+	for _, tool := range tools {
+		want[tool] = getProfile(t, live, tool)
+	}
+	live.crash()
+
+	dir := t.TempDir()
+	now := stepClock()
+	d := openDurable(t, dir, wal.Options{}, 0, now)
+	if resp := ingest(t, d.ts, legacy); resp.StatusCode != http.StatusOK {
+		t.Fatalf("WITCHB1 ingest: HTTP %d", resp.StatusCode)
+	}
+	d.crash()
+	var journaled [][]byte
+	if err := wal.Replay(dir, 0, func(r wal.Record) error {
+		_, _, _, _, body, ok := splitEnvelope(r.Payload)
+		if !ok {
+			t.Fatal("journal record without an envelope")
+		}
+		journaled = append(journaled, body)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(journaled) != 1 || !bytes.Equal(journaled[0], legacy) {
+		t.Fatalf("journal holds %d records, want the WITCHB1 body once", len(journaled))
+	}
+
+	d = openDurable(t, dir, wal.Options{}, 0, now)
+	defer d.crash()
+	if rec := d.pers.recovery; rec.ReplayedBatches != 1 || rec.ReplayedProfiles != 2 || rec.SkippedRecords != 0 {
+		t.Fatalf("WITCHB1 journal did not replay: %+v", rec)
+	}
+	for _, tool := range tools {
+		if got := getProfile(t, d, tool); !bytes.Equal(got, want[tool]) {
+			t.Fatalf("%s: replayed WITCHB1 journal differs from the live WITCHB2 batch:\nwant %s\ngot  %s", tool, want[tool], got)
+		}
 	}
 }

@@ -407,11 +407,8 @@ func runClusterChaos(base *witch.Profile, o Options) (clusterChaos, error) {
 	ps := make([]*deliveryPusher, pushers)
 	for i := range ps {
 		owner := i % 3
-		cp, err := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
+		cp := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
 			cns[owner].url, otherURLs(cns, owner))
-		if err != nil {
-			return res, err
-		}
 		// Re-draw the durable identity until node i%3 owns it.
 		if err := cp.openOwned(false, func(id string) bool { return cns[0].cl.Owner(id) == cns[owner].url }); err != nil {
 			return res, err

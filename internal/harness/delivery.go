@@ -177,14 +177,10 @@ type deliveryPusher struct {
 // program name — its batches merge into a private accumulator whose
 // bytes witness its delivery count — entering at url with urls as
 // failover targets. open starts it.
-func newDeliveryPusher(base *witch.Profile, program, spoolDir, url string, urls []string) (*deliveryPusher, error) {
+func newDeliveryPusher(base *witch.Profile, program, spoolDir, url string, urls []string) *deliveryPusher {
 	prof := *base
 	prof.Program = program
-	body, err := prof.AppendBinary(nil)
-	if err != nil {
-		return nil, err
-	}
-	return &deliveryPusher{prof: &prof, body: body, spoolDir: spoolDir, url: url, urls: urls, byReason: map[string]uint64{}}, nil
+	return &deliveryPusher{prof: &prof, body: prof.AppendBinary(nil), spoolDir: spoolDir, url: url, urls: urls, byReason: map[string]uint64{}}
 }
 
 // open boots a pusher incarnation over the durable spool dir. faulty
@@ -338,10 +334,7 @@ func runDeliveryCase(c deliveryCase, base *witch.Profile, pushers, perRound int,
 
 	ps := make([]*deliveryPusher, pushers)
 	for i := range ps {
-		cp, err := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)), d.url, nil)
-		if err != nil {
-			return res, err
-		}
+		cp := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)), d.url, nil)
 		cp.spoolMax, cp.clientInj, cp.diskInj = c.spoolMax, clientInj, diskInj
 		if err := cp.open(true); err != nil {
 			return res, err

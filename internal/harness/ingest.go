@@ -144,10 +144,7 @@ func Ingest(w io.Writer, o Options) error {
 	if err := mprof.WriteJSON(&jsonBody); err != nil {
 		return err
 	}
-	binBody, err := mprof.AppendBinary(nil)
-	if err != nil {
-		return err
-	}
+	binBody := mprof.AppendBinary(nil)
 	var dec witch.BatchDecoder
 	perPair := func(allocs float64) float64 { return allocs / float64(mpairs) }
 	baselineJSON := perPair(benchAllocs(func() {

@@ -256,10 +256,7 @@ func runReplica(base *witch.Profile, pushers, perRound int, o Options) (replicaR
 	// of new batches queues as hints for the replacement, and the failed
 	// legs open the entry's breaker. Once the entry reports it open, the
 	// reroute pusher sends one more batch.
-	rp, err := newDeliveryPusher(base, "prog-reroute", filepath.Join(root, "spool-reroute"), cns[0].url, nil)
-	if err != nil {
-		return res, err
-	}
+	rp := newDeliveryPusher(base, "prog-reroute", filepath.Join(root, "spool-reroute"), cns[0].url, nil)
 	rp.diskInj = diskInj
 	ref := cns[0].cl
 	if err := rp.openOwned(true, func(id string) bool {
@@ -383,11 +380,8 @@ func replicaPushers(cns []*clusterNode, base *witch.Profile, pushers int, root s
 	for i := range ps {
 		owner := i % 3
 		entry := (owner + 1) % 3
-		cp, err := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
+		cp := newDeliveryPusher(base, fmt.Sprintf("prog-%02d", i), filepath.Join(root, fmt.Sprintf("spool-%02d", i)),
 			cns[entry].url, otherURLs(cns, entry))
-		if err != nil {
-			return nil, err
-		}
 		cp.diskInj = diskInj
 		// Re-draw the durable identity until node i%3 owns it.
 		if err := cp.openOwned(true, func(id string) bool { return cns[0].cl.Owner(id) == cns[owner].url }); err != nil {

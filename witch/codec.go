@@ -18,78 +18,132 @@ import (
 //
 // Binary wire format (one document; a batch is documents concatenated):
 //
-//	"WITCHB1\n"                                   8-byte magic
-//	uvarint header length, then that many bytes   profileJSON sans pairs
+//	"WITCHB2\n"                                   8-byte magic
+//	uvarint header length, then that many bytes   the header:
+//	  program, tool                               uvarint length, raw bytes
+//	  exhaustive                                  one byte, 0 or 1
+//	  redundancy, waste, use                      float64 LE bits
+//	  wall ns                                     zig-zag varint
+//	  tool bytes, instrs, loads, stores           uvarint
+//	  Stats, Health                               fields in declaration
+//	                                              order: uint64 uvarint,
+//	                                              int zig-zag varint,
+//	                                              bool one byte
 //	uvarint pair count
 //	per pair: uvarint-length src, dst, chain      raw string bytes
 //	          waste, use                          float64 LE bits
 //	          uvarint src line, dst line
 //
-// The header stays JSON on purpose: profile metadata (Stats, Health)
-// evolves additively, and reusing the JSON schema there means a new
-// metadata field needs no binary format bump. Only the pairs array —
-// the part that dominates both size and decode allocations — gets the
-// dense encoding. The magic makes documents self-identifying, so
-// witchd's journal replay and its ingest handler sniff bytes rather
-// than trusting a Content-Type header.
+// Stats and Health are inlined as internal/agg's State codec inlines
+// them in a MetaState row. Decoding is strict: a non-minimal varint, a
+// bool other than 0 or 1, or a header not consumed exactly by its
+// fields is an error, so every accepted WITCHB2 document re-encodes to
+// its own bytes. A new metadata field therefore needs a new magic, and
+// the magic stands for the JSON schema's format_version.
+//
+// "WITCHB1\n" documents, which older builds wrote, are read but never
+// written: the same layout with the header carried as the profileJSON
+// schema (sans pairs) instead of binary fields. Journals, hint records
+// and spools written by those builds hold them, so dropping the read
+// path would lose acknowledged batches at upgrade.
+//
+// The magic makes documents self-identifying, so witchd's journal
+// replay and its ingest handler sniff bytes rather than trusting a
+// Content-Type header.
 
 // BinaryContentType is the Content-Type under which a Pusher sends the
 // compact binary profile encoding. The daemon sniffs the magic rather
 // than trusting the header, so the type is informational.
 const BinaryContentType = "application/x-witch-profile"
 
-// binaryMagic self-identifies a binary profile document.
-const binaryMagic = "WITCHB1\n"
+// binaryMagic self-identifies a binary profile document; legacyMagic
+// one with a JSON header, which this build reads but does not write.
+const (
+	binaryMagic = "WITCHB2\n"
+	legacyMagic = "WITCHB1\n"
+)
 
 // IsBinaryProfile reports whether body starts with a binary profile
-// document.
+// document of either format.
 func IsBinaryProfile(body []byte) bool {
-	return len(body) >= len(binaryMagic) && string(body[:len(binaryMagic)]) == binaryMagic
+	return hasMagic(body, binaryMagic) || hasMagic(body, legacyMagic)
+}
+
+func hasMagic(b []byte, magic string) bool {
+	return len(b) >= len(magic) && string(b[:len(magic)]) == magic
 }
 
 // AppendBinary appends the profile's binary encoding to dst and returns
 // the extended buffer — the appending shape lets a Pusher reuse one
 // encode buffer across deliveries.
-func (pr *Profile) AppendBinary(dst []byte) ([]byte, error) {
-	hdr, err := json.Marshal(profileJSON{
-		FormatVersion: currentFormatVersion,
-		Program:       pr.Program,
-		Tool:          pr.Tool,
-		Exhaustive:    pr.Exhaustive,
-		Redundancy:    pr.Redundancy,
-		Waste:         pr.Waste,
-		Use:           pr.Use,
-		WallNanos:     pr.WallTime.Nanoseconds(),
-		ToolBytes:     pr.ToolBytes,
-		Instrs:        pr.Instrs,
-		Loads:         pr.Loads,
-		Stores:        pr.Stores,
-		Stats:         pr.Stats,
-		Health:        pr.Health,
-	})
-	if err != nil {
-		return dst, fmt.Errorf("witch: encoding binary profile header: %w", err)
-	}
+func (pr *Profile) AppendBinary(dst []byte) []byte {
 	dst = append(dst, binaryMagic...)
-	dst = binary.AppendUvarint(dst, uint64(len(hdr)))
-	dst = append(dst, hdr...)
+	// The header's length precedes it, so encode the header first and
+	// then shift it right past its length.
+	mark := len(dst)
+	dst = pr.appendHeader(dst)
+	var n [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(n[:], uint64(len(dst)-mark))
+	dst = append(dst, n[:k]...)
+	copy(dst[mark+k:], dst[mark:len(dst)-k])
+	copy(dst[mark:], n[:k])
+
 	dst = binary.AppendUvarint(dst, uint64(len(pr.pairs)))
 	for i := range pr.pairs {
 		p := &pr.pairs[i]
 		dst = appendString(dst, p.Src)
 		dst = appendString(dst, p.Dst)
 		dst = appendString(dst, p.Chain)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Waste))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Use))
+		dst = appendFloat(dst, p.Waste)
+		dst = appendFloat(dst, p.Use)
 		dst = binary.AppendUvarint(dst, uint64(p.SrcLine))
 		dst = binary.AppendUvarint(dst, uint64(p.DstLine))
 	}
-	return dst, nil
+	return dst
+}
+
+// appendHeader appends the WITCHB2 header fields; readHeader is its
+// inverse.
+func (pr *Profile) appendHeader(dst []byte) []byte {
+	dst = appendString(dst, pr.Program)
+	dst = appendString(dst, pr.Tool)
+	dst = appendBool(dst, pr.Exhaustive)
+	dst = appendFloat(dst, pr.Redundancy)
+	dst = appendFloat(dst, pr.Waste)
+	dst = appendFloat(dst, pr.Use)
+	dst = binary.AppendVarint(dst, pr.WallTime.Nanoseconds())
+	for _, x := range [...]uint64{pr.ToolBytes, pr.Instrs, pr.Loads, pr.Stores} {
+		dst = binary.AppendUvarint(dst, x)
+	}
+	s := &pr.Stats
+	for _, x := range [...]uint64{s.Samples, s.Monitored, s.Traps, s.SpuriousTraps, s.MaxBlindSpot, s.Opens, s.Closes, s.Modifies, s.DisasmInstrs} {
+		dst = binary.AppendUvarint(dst, x)
+	}
+	h := &pr.Health
+	for _, x := range [...]uint64{h.SignalsLost, h.RingLost, h.ArmFailures, h.ArmRetries, h.ModifyFallbacks, h.LBROutages} {
+		dst = binary.AppendUvarint(dst, x)
+	}
+	dst = binary.AppendVarint(dst, int64(h.ConfiguredRegs))
+	dst = binary.AppendVarint(dst, int64(h.EffectiveRegs))
+	dst = appendBool(dst, h.RegistersShrunk)
+	dst = appendBool(dst, h.SampleLoss)
+	return appendBool(dst, h.Degraded)
 }
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+func appendFloat(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
 }
 
 // BatchDecoder decodes ingest bodies — a single profile or a batch, in
@@ -238,13 +292,19 @@ func (d *BatchDecoder) decodeBinary(body []byte) ([]*Profile, error) {
 	if d.intern == nil || len(d.intern) > 1<<16 {
 		d.intern = make(map[string]string)
 	}
-	rest := body
-	for len(rest) > 0 {
-		if !IsBinaryProfile(rest) {
-			return nil, fmt.Errorf("witch: binary batch document %d: bad magic", len(d.profs))
-		}
+	r := reader{b: body}
+	for len(r.b) > 0 {
 		var err error
-		rest, err = d.decodeBinaryProfile(rest[len(binaryMagic):])
+		switch {
+		case hasMagic(r.b, binaryMagic):
+			r.b = r.b[len(binaryMagic):]
+			err = d.decodeBinaryProfile(&r, false)
+		case hasMagic(r.b, legacyMagic):
+			r.b = r.b[len(legacyMagic):]
+			err = d.decodeBinaryProfile(&r, true)
+		default:
+			err = errors.New("bad magic")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("witch: binary batch document %d: %w", len(d.profs), err)
 		}
@@ -252,93 +312,186 @@ func (d *BatchDecoder) decodeBinary(body []byte) ([]*Profile, error) {
 	return d.profs, nil
 }
 
-func (d *BatchDecoder) decodeBinaryProfile(b []byte) (rest []byte, err error) {
-	hdr, b, err := readBytes(b, "header")
-	if err != nil {
-		return nil, err
+// decodeBinaryProfile reads one document past its magic; legacy
+// selects the WITCHB1 JSON header.
+func (d *BatchDecoder) decodeBinaryProfile(r *reader, legacy bool) error {
+	hdr := reader{b: r.raw("header")}
+	if r.err != nil {
+		return r.err
 	}
 	slot, pairs := d.next()
-	d.pj = profileJSON{}
-	if err := json.Unmarshal(hdr, &d.pj); err != nil {
-		return nil, fmt.Errorf("decoding header: %w", err)
+	if legacy {
+		d.pj = profileJSON{}
+		if err := json.Unmarshal(hdr.b, &d.pj); err != nil {
+			return fmt.Errorf("decoding header: %w", err)
+		}
+	} else {
+		d.readHeader(&hdr)
+		if len(hdr.b) > 0 {
+			hdr.fail("%d bytes past its fields", len(hdr.b))
+		}
+		if hdr.err != nil {
+			return fmt.Errorf("header: %w", hdr.err)
+		}
 	}
-	n, b, err := readUvarint(b, "pair count")
-	if err != nil {
-		return nil, err
-	}
+	n := r.uint("pair count")
 	// Each pair costs at least 3 one-byte string lengths + 16 float bytes
 	// + 2 line uvarints = 21 bytes, so a count the remaining bytes cannot
 	// hold is hostile input, not a big batch.
-	if n > uint64(len(b))/21 {
-		return nil, fmt.Errorf("pair count %d exceeds body", n)
+	if n > uint64(len(r.b))/21 {
+		r.fail("pair count %d exceeds the %d bytes left", n, len(r.b))
+	}
+	if r.err != nil {
+		return r.err
 	}
 	for i := uint64(0); i < n; i++ {
-		var p Pair
-		if p.Src, b, err = d.readString(b, "src"); err != nil {
-			return nil, fmt.Errorf("pair %d: %w", i, err)
+		p := Pair{
+			Src:   d.str(r.raw("src")),
+			Dst:   d.str(r.raw("dst")),
+			Chain: d.str(r.raw("chain")),
+			Waste: r.float("waste"),
+			Use:   r.float("use"),
 		}
-		if p.Dst, b, err = d.readString(b, "dst"); err != nil {
-			return nil, fmt.Errorf("pair %d: %w", i, err)
+		p.SrcLine = r.line("src line")
+		p.DstLine = r.line("dst line")
+		if r.err != nil {
+			return fmt.Errorf("pair %d: %w", i, r.err)
 		}
-		if p.Chain, b, err = d.readString(b, "chain"); err != nil {
-			return nil, fmt.Errorf("pair %d: %w", i, err)
-		}
-		if len(b) < 16 {
-			return nil, fmt.Errorf("pair %d: truncated metrics", i)
-		}
-		p.Waste = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		p.Use = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-		b = b[16:]
-		var line uint64
-		if line, b, err = readUvarint(b, "src line"); err != nil || line > math.MaxInt32 {
-			return nil, fmt.Errorf("pair %d: bad src line", i)
-		}
-		p.SrcLine = int(line)
-		if line, b, err = readUvarint(b, "dst line"); err != nil || line > math.MaxInt32 {
-			return nil, fmt.Errorf("pair %d: bad dst line", i)
-		}
-		p.DstLine = int(line)
 		pairs = append(pairs, p)
 	}
 	d.pj.Pairs = pairs
 	if err := d.pj.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	d.take(slot, pairs)
-	return b, nil
+	return nil
 }
 
-// readString reads one length-prefixed string, interning it: the fleet
-// pushes the same file:func:line locations over and over, so steady
-// state hits the table and allocates nothing.
-func (d *BatchDecoder) readString(b []byte, what string) (string, []byte, error) {
-	raw, rest, err := readBytes(b, what)
-	if err != nil {
-		return "", nil, err
+// readHeader reads the WITCHB2 header fields AppendBinary's
+// appendHeader wrote into the scratch profileJSON.
+func (d *BatchDecoder) readHeader(h *reader) {
+	pj := &d.pj
+	*pj = profileJSON{
+		FormatVersion: currentFormatVersion,
+		Program:       d.str(h.raw("program")),
+		Tool:          d.str(h.raw("tool")),
+		Exhaustive:    h.bool("exhaustive"),
+		Redundancy:    h.float("redundancy"),
+		Waste:         h.float("waste"),
+		Use:           h.float("use"),
+		WallNanos:     h.int("wall ns"),
 	}
+	for _, x := range [...]*uint64{&pj.ToolBytes, &pj.Instrs, &pj.Loads, &pj.Stores} {
+		*x = h.uint("counter")
+	}
+	s := &pj.Stats
+	for _, x := range [...]*uint64{&s.Samples, &s.Monitored, &s.Traps, &s.SpuriousTraps, &s.MaxBlindSpot, &s.Opens, &s.Closes, &s.Modifies, &s.DisasmInstrs} {
+		*x = h.uint("stats counter")
+	}
+	hl := &pj.Health
+	for _, x := range [...]*uint64{&hl.SignalsLost, &hl.RingLost, &hl.ArmFailures, &hl.ArmRetries, &hl.ModifyFallbacks, &hl.LBROutages} {
+		*x = h.uint("health counter")
+	}
+	for _, x := range [...]*int{&hl.ConfiguredRegs, &hl.EffectiveRegs} {
+		v := h.int("register count")
+		if int64(int(v)) != v {
+			h.fail("register count %d overflows int", v)
+		}
+		*x = int(v)
+	}
+	hl.RegistersShrunk = h.bool("registers shrunk")
+	hl.SampleLoss = h.bool("sample loss")
+	hl.Degraded = h.bool("degraded")
+}
+
+// str interns one string read from a document: the fleet pushes the
+// same programs, tools and file:func:line locations over and over, so
+// steady state hits the table and allocates nothing.
+func (d *BatchDecoder) str(raw []byte) string {
 	if s, ok := d.intern[string(raw)]; ok { // no alloc: compiler-optimized map lookup
-		return s, rest, nil
+		return s
 	}
 	s := string(raw)
 	d.intern[s] = s
-	return s, rest, nil
+	return s
 }
 
-func readBytes(b []byte, what string) (raw, rest []byte, err error) {
-	n, b, err := readUvarint(b, what)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("%s length %d exceeds body", what, n)
-	}
-	return b[:n], b[n:], nil
+// reader is a strict cursor over binary document bytes. Its first
+// error sticks and empties it, so every later read fails too and
+// returns a zero value: a run of reads is checked once, at its end.
+type reader struct {
+	b   []byte
+	err error
 }
 
-func readUvarint(b []byte, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("truncated %s", what)
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
 	}
-	return v, b[n:], nil
+	r.b = nil
+}
+
+// uint reads a uvarint, which must be minimal.
+func (r *reader) uint(what string) uint64 {
+	x, n := binary.Uvarint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.fail("truncated or non-minimal %s", what)
+		return 0
+	}
+	r.b = r.b[n:]
+	return x
+}
+
+// int reads a zig-zag varint, which must be minimal.
+func (r *reader) int(what string) int64 {
+	x, n := binary.Varint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.fail("truncated or non-minimal %s", what)
+		return 0
+	}
+	r.b = r.b[n:]
+	return x
+}
+
+// line reads a source line number: a uvarint that fits an int32.
+func (r *reader) line(what string) int {
+	x := r.uint(what)
+	if x > math.MaxInt32 {
+		r.fail("%s %d out of range", what, x)
+		return 0
+	}
+	return int(x)
+}
+
+func (r *reader) bool(what string) bool {
+	if len(r.b) == 0 || r.b[0] > 1 {
+		r.fail("truncated or invalid %s", what)
+		return false
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c == 1
+}
+
+func (r *reader) float(what string) float64 {
+	if len(r.b) < 8 {
+		r.fail("truncated %s", what)
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return f
+}
+
+// raw reads a uvarint length and that many bytes, which alias the
+// document.
+func (r *reader) raw(what string) []byte {
+	n := r.uint(what)
+	if n > uint64(len(r.b)) {
+		r.fail("%s length %d exceeds the %d bytes left", what, n, len(r.b))
+		return nil
+	}
+	raw := r.b[:n]
+	r.b = r.b[n:]
+	return raw
 }

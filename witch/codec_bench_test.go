@@ -15,11 +15,7 @@ func benchBodies(b *testing.B) (jsonBody, binBody []byte, pairs int) {
 	if err := prof.WriteJSONCompact(&jb); err != nil {
 		b.Fatal(err)
 	}
-	bin, err := prof.AppendBinary(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return jb.Bytes(), bin, len(prof.TopPairs(0))
+	return jb.Bytes(), prof.AppendBinary(nil), len(prof.TopPairs(0))
 }
 
 // BenchmarkDecodeJSONBaseline is the pre-fast-path ingest decode: the
@@ -71,9 +67,6 @@ func BenchmarkEncodeBinary(b *testing.B) {
 	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if buf, err = prof.AppendBinary(buf[:0]); err != nil {
-			b.Fatal(err)
-		}
+		buf = prof.AppendBinary(buf[:0])
 	}
 }

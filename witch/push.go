@@ -28,8 +28,6 @@ const (
 	// DropRetries: every delivery attempt failed (memory-only pushers;
 	// a spooled pusher parks the profile on disk instead).
 	DropRetries = "retries_exhausted"
-	// DropEncode: the profile failed to serialize.
-	DropEncode = "encode_error"
 	// DropBreakerOpen: the pusher was closing while the circuit breaker
 	// held deliveries back, so the queued profile was abandoned without
 	// hammering a daemon that just said stop.
@@ -669,14 +667,7 @@ func (p *Pusher) finalSpool() {
 
 // spoolProfile encodes a profile and parks it with a fresh sequence.
 func (p *Pusher) spoolProfile(prof *Profile) {
-	seq := p.allocSeq()
-	body, err := p.encode(prof)
-	if err != nil {
-		p.errors.Add(1)
-		p.drop(DropEncode)
-		return
-	}
-	p.spoolBody(seq, body)
+	p.spoolBody(p.allocSeq(), p.encode(prof))
 }
 
 // spoolBody parks encoded bytes, counting any eviction the disk bound
@@ -761,12 +752,7 @@ func (p *Pusher) drainChunk() bool {
 // spool, "retries exhausted" means "not now", not "never".
 func (p *Pusher) deliverOrSpool(prof *Profile) {
 	seq := p.allocSeq()
-	body, err := p.encode(prof)
-	if err != nil {
-		p.errors.Add(1)
-		p.drop(DropEncode)
-		return
-	}
+	body := p.encode(prof)
 	if time.Until(p.brOpenTill) > 0 {
 		p.spoolBody(seq, body)
 		return
@@ -920,10 +906,9 @@ func (p *Pusher) breakerSuccess() {
 // encode serializes one profile in the binary wire format into the
 // sender's reused buffer. The returned body aliases that buffer and is
 // valid until the next encode.
-func (p *Pusher) encode(prof *Profile) ([]byte, error) {
-	var err error
-	p.encBuf, err = prof.AppendBinary(p.encBuf[:0])
-	return p.encBuf, err
+func (p *Pusher) encode(prof *Profile) []byte {
+	p.encBuf = prof.AppendBinary(p.encBuf[:0])
+	return p.encBuf
 }
 
 // deliver sends one profile with bounded retries and exponential
@@ -931,12 +916,7 @@ func (p *Pusher) encode(prof *Profile) ([]byte, error) {
 // path (spooled pushers go through deliverOrSpool). The breaker gates
 // every attempt: while open, no request leaves the process.
 func (p *Pusher) deliver(prof *Profile) {
-	body, err := p.encode(prof)
-	if err != nil {
-		p.errors.Add(1)
-		p.drop(DropEncode)
-		return
-	}
+	body := p.encode(prof)
 	seq := p.allocSeq()
 	backoff := p.opts.Backoff
 	for attempt := 0; ; attempt++ {
