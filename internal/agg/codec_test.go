@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/witch"
 )
 
@@ -83,13 +84,13 @@ func badBool() []byte {
 
 func encodeState(st *State) []byte {
 	e := NewEncoder(nil)
-	e.State(st)
+	EncodeState(e, st)
 	return e.Bytes()
 }
 
 func decodeState(b []byte) (*State, error) {
 	d := NewDecoder(b)
-	st := d.State()
+	st := DecodeState(d)
 	return st, d.Close()
 }
 
@@ -159,7 +160,7 @@ func TestStateCodecRejects(t *testing.T) {
 	e.Str("a")
 	e.Uint(2)
 	d := NewDecoder(e.Bytes())
-	DecodeMap(d, 1, d.Uint)
+	wire.DecodeMap(d, 1, d.Uint)
 	if d.Close() == nil {
 		t.Error("a map with keys out of order decoded")
 	}

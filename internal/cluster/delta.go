@@ -31,6 +31,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // DeltaRequest is the /v1/shard POST body: the caller's last-seen
@@ -117,7 +118,7 @@ func (e *scatterEntry) apply(sd *ShardDelta) bool {
 	return changed
 }
 
-// AppendBinary appends the request's binary encoding (agg.Encoder):
+// AppendBinary appends the request's binary encoding (a WITCHA1 payload):
 // Gen, BucketIdx, then the Epochs map.
 func (req *DeltaRequest) AppendBinary(dst []byte) []byte {
 	e := agg.NewEncoder(dst)
@@ -147,10 +148,10 @@ func (sd *ShardDelta) AppendBinary(dst []byte) []byte {
 	if dl.Export != nil {
 		parts = dl.Export.Parts
 	}
-	agg.EncodeMap(e, parts, e.State)
+	wire.EncodeMap(e, parts, func(st *agg.State) { agg.EncodeState(e, st) })
 	e.Strs(dl.Tombstones)
 	appendVersion(e, &dl.Ver)
-	agg.EncodeMap(e, sd.Hinted, e.Strs)
+	wire.EncodeMap(e, sd.Hinted, e.Strs)
 	return e.Bytes()
 }
 
@@ -161,24 +162,24 @@ func (sd *ShardDelta) AppendBinary(dst []byte) []byte {
 func decodeShardDelta(raw []byte) (*ShardDelta, error) {
 	d := agg.NewDecoder(raw)
 	dl := &store.ExportDelta{Full: d.Bool()}
-	dl.Export = &store.Export{Parts: agg.DecodeMap(d, agg.MinStateBytes, d.State)}
+	dl.Export = &store.Export{Parts: wire.DecodeMap(d, agg.MinStateBytes, func() *agg.State { return agg.DecodeState(d) })}
 	dl.Tombstones = d.Strs()
 	dl.Ver = readVersion(d)
-	sd := &ShardDelta{Delta: dl, Hinted: agg.DecodeMap(d, 1, d.Strs)}
+	sd := &ShardDelta{Delta: dl, Hinted: wire.DecodeMap(d, 1, d.Strs)}
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	return sd, nil
 }
 
-func appendVersion(e *agg.Encoder, v *store.ExportVersion) {
+func appendVersion(e *wire.Encoder, v *store.ExportVersion) {
 	e.Uint(v.Gen)
 	e.Int(v.BucketIdx)
-	agg.EncodeMap(e, v.Epochs, e.Uint)
+	wire.EncodeMap(e, v.Epochs, e.Uint)
 }
 
-func readVersion(d *agg.Decoder) store.ExportVersion {
-	return store.ExportVersion{Gen: d.Uint(), BucketIdx: d.Int(), Epochs: agg.DecodeMap(d, 1, d.Uint)}
+func readVersion(d *wire.Decoder) store.ExportVersion {
+	return store.ExportVersion{Gen: d.Uint(), BucketIdx: d.Int(), Epochs: wire.DecodeMap(d, 1, d.Uint)}
 }
 
 func hintedEqual(a, b map[string][]string) bool {

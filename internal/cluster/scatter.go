@@ -114,7 +114,7 @@ func (r *Router) FetchPartition(ctx context.Context, peer, pusherID string) (*Pa
 	return decodePartitionTransfer(raw)
 }
 
-// AppendBinary appends the transfer's binary encoding (agg.Encoder): a
+// AppendBinary appends the transfer's binary encoding (a WITCHA1 payload): a
 // presence flag and the image (store.PartitionImage.Encode), then the
 // dedup window.
 func (pt *PartitionTransfer) AppendBinary(dst []byte) []byte {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/agg"
+	"repro/internal/wire"
 )
 
 // Dedup is witchd's half of exactly-once ingest: a bounded per-pusher
@@ -384,14 +385,14 @@ func (d *Dedup) State() []byte {
 	for _, x := range [...]uint64{d.window, d.dups, d.stale, d.evicted} {
 		e.Uint(x)
 	}
-	agg.EncodeMap(e, d.pushers, func(w *pusherWindow) {
+	wire.EncodeMap(e, d.pushers, func(w *pusherWindow) {
 		e.Uint(w.max)
 		e.Uint(uint64(len(w.bits)))
 		for _, x := range w.bits {
 			e.Uint(x)
 		}
 	})
-	agg.EncodeMap(e, d.tombs, func(t tombstone) { e.Uint(t.max) })
+	wire.EncodeMap(e, d.tombs, func(t tombstone) { e.Uint(t.max) })
 	return e.Bytes()
 }
 
@@ -411,7 +412,7 @@ func (d *Dedup) Load(blob []byte) error {
 	defer d.mu.Unlock()
 	words := d.window / 64
 	tick := d.tick
-	pushers := agg.DecodeMap(dec, 2, func() *pusherWindow {
+	pushers := wire.DecodeMap(dec, 2, func() *pusherWindow {
 		tick++
 		w := &pusherWindow{max: dec.Uint(), last: tick}
 		w.bits = make([]uint64, dec.Count(1))
@@ -428,7 +429,7 @@ func (d *Dedup) Load(blob []byte) error {
 		}
 		return w
 	})
-	tombs := agg.DecodeMap(dec, 1, func() tombstone {
+	tombs := wire.DecodeMap(dec, 1, func() tombstone {
 		tick++
 		return tombstone{max: dec.Uint(), tick: tick}
 	})

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Hinted handoff: when a replica-set member is unreachable at ack
@@ -23,22 +24,23 @@ import (
 // heals; the peer's dedup window makes replays idempotent, so a crash
 // between replay and cursor advance re-sends harmlessly.
 //
-// Hint record framing (inside a wal record payload):
+// Hint record framing (inside a wal record payload), the timestamp
+// then internal/wire fields:
 //
 //	[8-byte big-endian unix-nano]
-//	[uvarint len(id)][id]
-//	[uvarint seq]
-//	[uvarint len(ctype)][ctype]
+//	[string id]
+//	[uint seq]
+//	[string ctype]
 //	[body]
 func encodeHint(ts time.Time, id string, seq uint64, ctype string, body []byte) []byte {
-	rec := make([]byte, 8, 8+2*binary.MaxVarintLen64+len(id)+len(ctype)+len(body))
+	rec := make([]byte, 8, 8+3*binary.MaxVarintLen64+len(id)+len(ctype)+len(body))
 	binary.BigEndian.PutUint64(rec, uint64(ts.UnixNano()))
-	rec = binary.AppendUvarint(rec, uint64(len(id)))
-	rec = append(rec, id...)
-	rec = binary.AppendUvarint(rec, seq)
-	rec = binary.AppendUvarint(rec, uint64(len(ctype)))
-	rec = append(rec, ctype...)
-	return append(rec, body...)
+	e := wire.NewEncoder(rec)
+	e.Str(id)
+	e.Uint(seq)
+	e.Str(ctype)
+	e.Raw(body)
+	return e.Bytes()
 }
 
 func decodeHint(payload []byte) (ts time.Time, id string, seq uint64, ctype string, body []byte, ok bool) {
@@ -46,24 +48,12 @@ func decodeHint(payload []byte) (ts time.Time, id string, seq uint64, ctype stri
 		return ts, "", 0, "", nil, false
 	}
 	ts = time.Unix(0, int64(binary.BigEndian.Uint64(payload)))
-	rest := payload[8:]
-	idLen, n := uvarint(rest)
-	if n <= 0 || uint64(len(rest)-n) < idLen {
+	d := wire.NewDecoder(payload[8:])
+	id, seq, ctype = d.Str(), d.Uint(), d.Str()
+	if body = d.Rest(); d.Err() != nil {
 		return ts, "", 0, "", nil, false
 	}
-	id = string(rest[n : n+int(idLen)])
-	rest = rest[n+int(idLen):]
-	seq, n = uvarint(rest)
-	if n <= 0 {
-		return ts, "", 0, "", nil, false
-	}
-	rest = rest[n:]
-	ctLen, n := uvarint(rest)
-	if n <= 0 || uint64(len(rest)-n) < ctLen {
-		return ts, "", 0, "", nil, false
-	}
-	ctype = string(rest[n : n+int(ctLen)])
-	return ts, id, seq, ctype, rest[n+int(ctLen):], true
+	return ts, id, seq, ctype, body, true
 }
 
 // hintPeer is one destination peer's hint queue. mu serializes appends

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/wal"
+	"repro/internal/wire"
 	"repro/witch"
 )
 
@@ -64,65 +65,49 @@ type RecoveryReport struct {
 }
 
 // Journal envelope. v1: [8-byte big-endian unix-nano][raw body]. v2
-// adds the batch's idempotency key between timestamp and body:
+// adds the batch's idempotency key between timestamp and body, as
+// internal/wire fields:
 //
-//	[8-byte ts][0x01][uvarint len(id)][id][uvarint seq][raw body]
+//	[8-byte ts][0x01][string id][uint seq][raw body]
 //
 // The 0x01 marker cannot be the first byte of any valid body — JSON
 // starts with '{', '[' or whitespace and the binary codec with 'W'
 // (its magic) — so v1 envelopes keep decoding unchanged, and a v2
 // daemon restarted over a v1 journal replays it cleanly.
-const envKeyMarker = 0x01
+const envKeyMarker = "\x01"
 
 // appendEnvelope encodes a journal envelope for body at time now.
 func appendEnvelope(now time.Time, id string, seq uint64, keyed bool, body []byte) []byte {
 	env := make([]byte, 8, 8+1+binary.MaxVarintLen64*2+len(id)+len(body))
 	binary.BigEndian.PutUint64(env, uint64(now.UnixNano()))
+	e := wire.NewEncoder(env)
 	if keyed {
-		env = append(env, envKeyMarker)
-		env = binary.AppendUvarint(env, uint64(len(id)))
-		env = append(env, id...)
-		env = binary.AppendUvarint(env, seq)
+		e.Raw([]byte(envKeyMarker))
+		e.Str(id)
+		e.Uint(seq)
 	}
-	return append(env, body...)
-}
-
-// uvarint reads a minimal-length uvarint, the only form
-// binary.AppendUvarint writes, so a record the journal and hint
-// decoders accept re-encodes to its own bytes. n <= 0 reports a
-// truncated, overflowing or zero-padded one.
-func uvarint(b []byte) (v uint64, n int) {
-	v, n = binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, 0
-	}
-	return v, n
+	e.Raw(body)
+	return e.Bytes()
 }
 
 // splitEnvelope decodes a journal envelope into its timestamp, optional
 // idempotency key, and body. An envelope too mangled to split reports
-// ok=false (the caller counts it skipped).
+// ok=false (the caller counts it skipped); one the decoder accepts
+// re-encodes to its own bytes.
 func splitEnvelope(payload []byte) (ts time.Time, id string, seq uint64, keyed bool, body []byte, ok bool) {
 	if len(payload) < 8 {
 		return ts, "", 0, false, nil, false
 	}
 	ts = time.Unix(0, int64(binary.BigEndian.Uint64(payload)))
-	rest := payload[8:]
-	if len(rest) == 0 || rest[0] != envKeyMarker {
-		return ts, "", 0, false, rest, true
+	d := wire.NewDecoder(payload[8:])
+	if !d.Magic(envKeyMarker) {
+		return ts, "", 0, false, d.Rest(), true
 	}
-	rest = rest[1:]
-	idLen, n := uvarint(rest)
-	if n <= 0 || uint64(len(rest)-n) < idLen {
+	id, seq = d.Str(), d.Uint()
+	if body = d.Rest(); d.Err() != nil {
 		return ts, "", 0, false, nil, false
 	}
-	id = string(rest[n : n+int(idLen)])
-	rest = rest[n+int(idLen):]
-	seq, n = uvarint(rest)
-	if n <= 0 {
-		return ts, "", 0, false, nil, false
-	}
-	return ts, id, seq, true, rest[n:], true
+	return ts, id, seq, true, body, true
 }
 
 // snapName formats a snapshot filename anchored at a journal LSN.

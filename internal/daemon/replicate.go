@@ -486,7 +486,7 @@ var emptyPartition agg.State
 
 // partitionFingerprint returns pusher id's merge count and checksum
 // from an all-time export: FNV-1a over its State's binary encoding
-// (agg.Encoder), which is canonical — the bytes are a function of the
+// (agg.EncodeState), which is canonical — the bytes are a function of the
 // value — so equal data hashes to equal sums on every node. Replicas
 // that merged the same batches in a different order can still differ
 // in float round-off; the one redundant pull that triggers adopts the
@@ -501,7 +501,7 @@ func partitionFingerprint(exp *store.Export, id string) (uint64, string) {
 		n += st.Metas[i].Profiles
 	}
 	e := agg.NewEncoder(nil)
-	e.State(st)
+	agg.EncodeState(e, st)
 	h := fnv.New64a()
 	h.Write(e.Bytes())
 	return n, fmt.Sprintf("%016x", h.Sum64())

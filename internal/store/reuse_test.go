@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/wire"
 )
 
 // exportBytes is the canonical byte form of an export: the agg codec's
 // partition map, in id order.
 func exportBytes(e *Export) []byte {
 	enc := agg.NewEncoder(nil)
-	agg.EncodeMap(enc, e.Parts, enc.State)
+	wire.EncodeMap(enc, e.Parts, func(st *agg.State) { agg.EncodeState(enc, st) })
 	return enc.Bytes()
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/wire"
 )
 
 // withTrailer appends the CRC-32C trailer Snapshot writes to body.
@@ -24,7 +25,7 @@ func sealSnapshot(version uint64, imgs map[string]*PartitionImage) []byte {
 	for _, x := range [...]uint64{version, 1, 0, 0} { // anchor 1, no counts
 		e.Uint(x)
 	}
-	agg.EncodeMap(e, imgs, func(img *PartitionImage) { img.Encode(e) })
+	wire.EncodeMap(e, imgs, func(img *PartitionImage) { img.Encode(e) })
 	e.Blob(nil)
 	return withTrailer(e.Bytes())
 }

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/wire"
 	"repro/witch"
 )
 
@@ -381,11 +382,11 @@ const minImageBytes = 3
 
 // Encode writes img: WindowNanos, the buckets as (start, presence flag,
 // State), then a presence flag and the rollup.
-func (img *PartitionImage) Encode(e *agg.Encoder) {
+func (img *PartitionImage) Encode(e *wire.Encoder) {
 	optState := func(st *agg.State) {
 		e.Bool(st != nil)
 		if st != nil {
-			e.State(st)
+			agg.EncodeState(e, st)
 		}
 	}
 	e.Int(img.WindowNanos)
@@ -399,7 +400,7 @@ func (img *PartitionImage) Encode(e *agg.Encoder) {
 
 // DecodePartitionImage reads an image Encode wrote. A bucket without a
 // State fails the payload: the installer would dereference it.
-func DecodePartitionImage(d *agg.Decoder) *PartitionImage {
+func DecodePartitionImage(d *wire.Decoder) *PartitionImage {
 	img := &PartitionImage{WindowNanos: d.Int()}
 	if n := d.Count(2 + agg.MinStateBytes); n > 0 {
 		img.Buckets = make([]PartitionBucket, n)
@@ -409,11 +410,11 @@ func DecodePartitionImage(d *agg.Decoder) *PartitionImage {
 			if !d.Bool() {
 				d.Fail("partition image bucket %d has no state", i)
 			}
-			b.State = d.State()
+			b.State = agg.DecodeState(d)
 		}
 	}
 	if d.Bool() {
-		img.Rollup = d.State()
+		img.Rollup = agg.DecodeState(d)
 	}
 	return img
 }
@@ -543,7 +544,7 @@ func (sn *snapshot) encode() []byte {
 	for _, x := range [...]uint64{snapshotVersion, sn.anchor, sn.ingested, sn.evicted} {
 		e.Uint(x)
 	}
-	agg.EncodeMap(e, sn.images, func(img *PartitionImage) { img.Encode(e) })
+	wire.EncodeMap(e, sn.images, func(img *PartitionImage) { img.Encode(e) })
 	e.Blob(sn.extra)
 	body := e.Bytes()
 	body = binary.BigEndian.AppendUint32(body, crc32.Checksum(body, snapCRCTable))
@@ -567,7 +568,7 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 		d.Fail("snapshot version %d unsupported (this build reads %d)", v, snapshotVersion)
 	}
 	sn := &snapshot{anchor: d.Uint(), ingested: d.Uint(), evicted: d.Uint()}
-	sn.images = agg.DecodeMap(d, minImageBytes, func() *PartitionImage { return DecodePartitionImage(d) })
+	sn.images = wire.DecodeMap(d, minImageBytes, func() *PartitionImage { return DecodePartitionImage(d) })
 	sn.extra = d.Blob()
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("store: decoding snapshot: %w", err)

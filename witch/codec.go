@@ -2,13 +2,14 @@ package witch
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // This file is the ingest fast-path codec: the compact binary profile
@@ -16,30 +17,24 @@ import (
 // serves both that format and the JSON schema (curl, older spool
 // entries) without per-batch allocation churn.
 //
-// Binary wire format (one document; a batch is documents concatenated):
+// Binary wire format (one document; a batch is documents concatenated),
+// in internal/wire's fields:
 //
-//	"WITCHB2\n"                                   8-byte magic
-//	uvarint header length, then that many bytes   the header:
-//	  program, tool                               uvarint length, raw bytes
-//	  exhaustive                                  one byte, 0 or 1
-//	  redundancy, waste, use                      float64 LE bits
-//	  wall ns                                     zig-zag varint
-//	  tool bytes, instrs, loads, stores           uvarint
-//	  Stats, Health                               fields in declaration
-//	                                              order: uint64 uvarint,
-//	                                              int zig-zag varint,
-//	                                              bool one byte
-//	uvarint pair count
-//	per pair: uvarint-length src, dst, chain      raw string bytes
-//	          waste, use                          float64 LE bits
-//	          uvarint src line, dst line
+//	"WITCHB2\n"                          8-byte magic
+//	header blob                          program, tool strings;
+//	                                     exhaustive bool; redundancy,
+//	                                     waste, use floats; wall ns int;
+//	                                     tool bytes, instrs, loads,
+//	                                     stores uints; Stats and Health
+//	                                     as EncodeStatsHealth writes them
+//	list of pairs                        src, dst, chain strings; waste,
+//	                                     use floats; src line, dst line
+//	                                     uints below 2^31
 //
-// Stats and Health are inlined as internal/agg's State codec inlines
-// them in a MetaState row. Decoding is strict: a non-minimal varint, a
-// bool other than 0 or 1, or a header not consumed exactly by its
-// fields is an error, so every accepted WITCHB2 document re-encodes to
-// its own bytes. A new metadata field therefore needs a new magic, and
-// the magic stands for the JSON schema's format_version.
+// A header not consumed exactly by its fields is an error, so every
+// accepted WITCHB2 document re-encodes to its own bytes. A new metadata
+// field therefore needs a new magic, and the magic stands for the JSON
+// schema's format_version.
 //
 // "WITCHB1\n" documents, which older builds wrote, are read but never
 // written: the same layout with the header carried as the profileJSON
@@ -66,84 +61,81 @@ const (
 // IsBinaryProfile reports whether body starts with a binary profile
 // document of either format.
 func IsBinaryProfile(body []byte) bool {
-	return hasMagic(body, binaryMagic) || hasMagic(body, legacyMagic)
-}
-
-func hasMagic(b []byte, magic string) bool {
-	return len(b) >= len(magic) && string(b[:len(magic)]) == magic
+	return bytes.HasPrefix(body, []byte(binaryMagic)) || bytes.HasPrefix(body, []byte(legacyMagic))
 }
 
 // AppendBinary appends the profile's binary encoding to dst and returns
 // the extended buffer — the appending shape lets a Pusher reuse one
 // encode buffer across deliveries.
 func (pr *Profile) AppendBinary(dst []byte) []byte {
-	dst = append(dst, binaryMagic...)
-	// The header's length precedes it, so encode the header first and
-	// then shift it right past its length.
-	mark := len(dst)
-	dst = pr.appendHeader(dst)
-	var n [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(n[:], uint64(len(dst)-mark))
-	dst = append(dst, n[:k]...)
-	copy(dst[mark+k:], dst[mark:len(dst)-k])
-	copy(dst[mark:], n[:k])
-
-	dst = binary.AppendUvarint(dst, uint64(len(pr.pairs)))
+	e := wire.NewEncoder(dst)
+	e.Raw([]byte(binaryMagic))
+	mark := e.BeginBlob()
+	pr.encodeHeader(e)
+	e.EndBlob(mark)
+	e.Uint(uint64(len(pr.pairs)))
 	for i := range pr.pairs {
 		p := &pr.pairs[i]
-		dst = appendString(dst, p.Src)
-		dst = appendString(dst, p.Dst)
-		dst = appendString(dst, p.Chain)
-		dst = appendFloat(dst, p.Waste)
-		dst = appendFloat(dst, p.Use)
-		dst = binary.AppendUvarint(dst, uint64(p.SrcLine))
-		dst = binary.AppendUvarint(dst, uint64(p.DstLine))
+		e.Str(p.Src)
+		e.Str(p.Dst)
+		e.Str(p.Chain)
+		e.Float(p.Waste)
+		e.Float(p.Use)
+		e.Uint(uint64(p.SrcLine))
+		e.Uint(uint64(p.DstLine))
 	}
-	return dst
+	return e.Bytes()
 }
 
-// appendHeader appends the WITCHB2 header fields; readHeader is its
+// encodeHeader writes the WITCHB2 header fields; readHeader is its
 // inverse.
-func (pr *Profile) appendHeader(dst []byte) []byte {
-	dst = appendString(dst, pr.Program)
-	dst = appendString(dst, pr.Tool)
-	dst = appendBool(dst, pr.Exhaustive)
-	dst = appendFloat(dst, pr.Redundancy)
-	dst = appendFloat(dst, pr.Waste)
-	dst = appendFloat(dst, pr.Use)
-	dst = binary.AppendVarint(dst, pr.WallTime.Nanoseconds())
+func (pr *Profile) encodeHeader(e *wire.Encoder) {
+	e.Str(pr.Program)
+	e.Str(pr.Tool)
+	e.Bool(pr.Exhaustive)
+	e.Float(pr.Redundancy)
+	e.Float(pr.Waste)
+	e.Float(pr.Use)
+	e.Int(pr.WallTime.Nanoseconds())
 	for _, x := range [...]uint64{pr.ToolBytes, pr.Instrs, pr.Loads, pr.Stores} {
-		dst = binary.AppendUvarint(dst, x)
+		e.Uint(x)
 	}
-	s := &pr.Stats
+	EncodeStatsHealth(e, &pr.Stats, &pr.Health)
+}
+
+// EncodeStatsHealth writes s and h as their fields in declaration
+// order. The WITCHB2 header and internal/agg's State rows both inline
+// them so; DecodeStatsHealth is the inverse.
+func EncodeStatsHealth(e *wire.Encoder, s *Stats, h *Health) {
 	for _, x := range [...]uint64{s.Samples, s.Monitored, s.Traps, s.SpuriousTraps, s.MaxBlindSpot, s.Opens, s.Closes, s.Modifies, s.DisasmInstrs} {
-		dst = binary.AppendUvarint(dst, x)
+		e.Uint(x)
 	}
-	h := &pr.Health
 	for _, x := range [...]uint64{h.SignalsLost, h.RingLost, h.ArmFailures, h.ArmRetries, h.ModifyFallbacks, h.LBROutages} {
-		dst = binary.AppendUvarint(dst, x)
+		e.Uint(x)
 	}
-	dst = binary.AppendVarint(dst, int64(h.ConfiguredRegs))
-	dst = binary.AppendVarint(dst, int64(h.EffectiveRegs))
-	dst = appendBool(dst, h.RegistersShrunk)
-	dst = appendBool(dst, h.SampleLoss)
-	return appendBool(dst, h.Degraded)
+	e.Int(int64(h.ConfiguredRegs))
+	e.Int(int64(h.EffectiveRegs))
+	e.Bool(h.RegistersShrunk)
+	e.Bool(h.SampleLoss)
+	e.Bool(h.Degraded)
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendFloat(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
+// DecodeStatsHealth reads what EncodeStatsHealth wrote into s and h.
+func DecodeStatsHealth(d *wire.Decoder, s *Stats, h *Health) {
+	d.Field("stats counter")
+	for _, x := range [...]*uint64{&s.Samples, &s.Monitored, &s.Traps, &s.SpuriousTraps, &s.MaxBlindSpot, &s.Opens, &s.Closes, &s.Modifies, &s.DisasmInstrs} {
+		*x = d.Uint()
 	}
-	return append(dst, 0)
+	d.Field("health counter")
+	for _, x := range [...]*uint64{&h.SignalsLost, &h.RingLost, &h.ArmFailures, &h.ArmRetries, &h.ModifyFallbacks, &h.LBROutages} {
+		*x = d.Uint()
+	}
+	h.ConfiguredRegs = d.Field("register count").IntN()
+	h.EffectiveRegs = d.IntN()
+	h.RegistersShrunk = d.Field("registers shrunk").Bool()
+	h.SampleLoss = d.Field("sample loss").Bool()
+	h.Degraded = d.Field("degraded").Bool()
+	d.Field("")
 }
 
 // BatchDecoder decodes ingest bodies — a single profile or a batch, in
@@ -159,12 +151,19 @@ func appendBool(dst []byte, b bool) []byte {
 // copies every scalar and retains only strings, which are immutable and
 // never recycled.
 type BatchDecoder struct {
-	arena  []Profile // backing store for returned *Profiles
-	profs  []*Profile
-	pairs  [][]Pair // per-profile pair slices, capacity kept across batches
-	intern map[string]string
-	pj     profileJSON // scratch for header/JSON decoding
+	arena []Profile // backing store for returned *Profiles
+	profs []*Profile
+	pairs [][]Pair     // per-profile pair slices, capacity kept across batches
+	strs  wire.Decoder // holds the binary intern table, which outlives a batch
+	pj    profileJSON  // scratch for header/JSON decoding
 }
+
+// batchInternMax bounds a BatchDecoder's intern table, which it keeps
+// across batches: the fleet pushes the same programs, tools and
+// file:func:line locations over and over, so steady state hits the
+// table and allocates nothing, while hostile ever-unique strings only
+// make it start over past a generous fleet-vocabulary cap.
+const batchInternMax = 1 << 16
 
 // Decode parses one ingest body into its profiles. Every profile is
 // validated exactly as ReadProfileJSON validates: a batch with any bad
@@ -286,21 +285,18 @@ func (d *BatchDecoder) decodeJSONProfile(dec *json.Decoder) error {
 
 // decodeBinary handles one or more concatenated binary documents.
 func (d *BatchDecoder) decodeBinary(body []byte) ([]*Profile, error) {
-	// The intern table persists across batches by design (that is the
-	// win), but hostile ever-unique strings must not grow it without
-	// bound — reset it past a generous fleet-vocabulary cap.
-	if d.intern == nil || len(d.intern) > 1<<16 {
-		d.intern = make(map[string]string)
-	}
-	r := reader{b: body}
-	for len(r.b) > 0 {
+	// Documents are read through a copy on the stack, which shares the
+	// intern table: the cursor's every step is then a register update,
+	// not a store into the heap.
+	d.strs.Intern(batchInternMax)
+	r := d.strs
+	r.Reset(body)
+	for r.Len() > 0 {
 		var err error
 		switch {
-		case hasMagic(r.b, binaryMagic):
-			r.b = r.b[len(binaryMagic):]
+		case r.Magic(binaryMagic):
 			err = d.decodeBinaryProfile(&r, false)
-		case hasMagic(r.b, legacyMagic):
-			r.b = r.b[len(legacyMagic):]
+		case r.Magic(legacyMagic):
 			err = d.decodeBinaryProfile(&r, true)
 		default:
 			err = errors.New("bad magic")
@@ -314,50 +310,43 @@ func (d *BatchDecoder) decodeBinary(body []byte) ([]*Profile, error) {
 
 // decodeBinaryProfile reads one document past its magic; legacy
 // selects the WITCHB1 JSON header.
-func (d *BatchDecoder) decodeBinaryProfile(r *reader, legacy bool) error {
-	hdr := reader{b: r.raw("header")}
-	if r.err != nil {
-		return r.err
+func (d *BatchDecoder) decodeBinaryProfile(r *wire.Decoder, legacy bool) error {
+	hdr := r.Field("header").Sub()
+	if err := r.Err(); err != nil {
+		return err
 	}
 	slot, pairs := d.next()
 	if legacy {
 		d.pj = profileJSON{}
-		if err := json.Unmarshal(hdr.b, &d.pj); err != nil {
+		if err := json.Unmarshal(hdr.Rest(), &d.pj); err != nil {
 			return fmt.Errorf("decoding header: %w", err)
 		}
 	} else {
 		d.readHeader(&hdr)
-		if len(hdr.b) > 0 {
-			hdr.fail("%d bytes past its fields", len(hdr.b))
-		}
-		if hdr.err != nil {
-			return fmt.Errorf("header: %w", hdr.err)
+		if err := hdr.Close(); err != nil {
+			return fmt.Errorf("header: %w", err)
 		}
 	}
-	n := r.uint("pair count")
 	// Each pair costs at least 3 one-byte string lengths + 16 float bytes
 	// + 2 line uvarints = 21 bytes, so a count the remaining bytes cannot
 	// hold is hostile input, not a big batch.
-	if n > uint64(len(r.b))/21 {
-		r.fail("pair count %d exceeds the %d bytes left", n, len(r.b))
+	n := r.Field("pair count").Count(21)
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if r.err != nil {
-		return r.err
-	}
-	for i := uint64(0); i < n; i++ {
-		p := Pair{
-			Src:   d.str(r.raw("src")),
-			Dst:   d.str(r.raw("dst")),
-			Chain: d.str(r.raw("chain")),
-			Waste: r.float("waste"),
-			Use:   r.float("use"),
+	for i := 0; i < n; i++ {
+		pairs = append(pairs, Pair{
+			Src:     r.Field("src").Str(),
+			Dst:     r.Field("dst").Str(),
+			Chain:   r.Field("chain").Str(),
+			Waste:   r.Field("waste").Float(),
+			Use:     r.Field("use").Float(),
+			SrcLine: line(r.Field("src line")),
+			DstLine: line(r.Field("dst line")),
+		})
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("pair %d: %w", i, err)
 		}
-		p.SrcLine = r.line("src line")
-		p.DstLine = r.line("dst line")
-		if r.err != nil {
-			return fmt.Errorf("pair %d: %w", i, r.err)
-		}
-		pairs = append(pairs, p)
 	}
 	d.pj.Pairs = pairs
 	if err := d.pj.validate(); err != nil {
@@ -368,130 +357,32 @@ func (d *BatchDecoder) decodeBinaryProfile(r *reader, legacy bool) error {
 }
 
 // readHeader reads the WITCHB2 header fields AppendBinary's
-// appendHeader wrote into the scratch profileJSON.
-func (d *BatchDecoder) readHeader(h *reader) {
+// encodeHeader wrote into the scratch profileJSON.
+func (d *BatchDecoder) readHeader(h *wire.Decoder) {
 	pj := &d.pj
 	*pj = profileJSON{
 		FormatVersion: currentFormatVersion,
-		Program:       d.str(h.raw("program")),
-		Tool:          d.str(h.raw("tool")),
-		Exhaustive:    h.bool("exhaustive"),
-		Redundancy:    h.float("redundancy"),
-		Waste:         h.float("waste"),
-		Use:           h.float("use"),
-		WallNanos:     h.int("wall ns"),
+		Program:       h.Field("program").Str(),
+		Tool:          h.Field("tool").Str(),
+		Exhaustive:    h.Field("exhaustive").Bool(),
+		Redundancy:    h.Field("redundancy").Float(),
+		Waste:         h.Field("waste").Float(),
+		Use:           h.Field("use").Float(),
+		WallNanos:     h.Field("wall ns").Int(),
 	}
+	h.Field("counter")
 	for _, x := range [...]*uint64{&pj.ToolBytes, &pj.Instrs, &pj.Loads, &pj.Stores} {
-		*x = h.uint("counter")
+		*x = h.Uint()
 	}
-	s := &pj.Stats
-	for _, x := range [...]*uint64{&s.Samples, &s.Monitored, &s.Traps, &s.SpuriousTraps, &s.MaxBlindSpot, &s.Opens, &s.Closes, &s.Modifies, &s.DisasmInstrs} {
-		*x = h.uint("stats counter")
-	}
-	hl := &pj.Health
-	for _, x := range [...]*uint64{&hl.SignalsLost, &hl.RingLost, &hl.ArmFailures, &hl.ArmRetries, &hl.ModifyFallbacks, &hl.LBROutages} {
-		*x = h.uint("health counter")
-	}
-	for _, x := range [...]*int{&hl.ConfiguredRegs, &hl.EffectiveRegs} {
-		v := h.int("register count")
-		if int64(int(v)) != v {
-			h.fail("register count %d overflows int", v)
-		}
-		*x = int(v)
-	}
-	hl.RegistersShrunk = h.bool("registers shrunk")
-	hl.SampleLoss = h.bool("sample loss")
-	hl.Degraded = h.bool("degraded")
-}
-
-// str interns one string read from a document: the fleet pushes the
-// same programs, tools and file:func:line locations over and over, so
-// steady state hits the table and allocates nothing.
-func (d *BatchDecoder) str(raw []byte) string {
-	if s, ok := d.intern[string(raw)]; ok { // no alloc: compiler-optimized map lookup
-		return s
-	}
-	s := string(raw)
-	d.intern[s] = s
-	return s
-}
-
-// reader is a strict cursor over binary document bytes. Its first
-// error sticks and empties it, so every later read fails too and
-// returns a zero value: a run of reads is checked once, at its end.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-	r.b = nil
-}
-
-// uint reads a uvarint, which must be minimal.
-func (r *reader) uint(what string) uint64 {
-	x, n := binary.Uvarint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail("truncated or non-minimal %s", what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return x
-}
-
-// int reads a zig-zag varint, which must be minimal.
-func (r *reader) int(what string) int64 {
-	x, n := binary.Varint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail("truncated or non-minimal %s", what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return x
+	DecodeStatsHealth(h, &pj.Stats, &pj.Health)
 }
 
 // line reads a source line number: a uvarint that fits an int32.
-func (r *reader) line(what string) int {
-	x := r.uint(what)
+func line(d *wire.Decoder) int {
+	x := d.Uint()
 	if x > math.MaxInt32 {
-		r.fail("%s %d out of range", what, x)
+		d.Fail("%d out of range", x)
 		return 0
 	}
 	return int(x)
-}
-
-func (r *reader) bool(what string) bool {
-	if len(r.b) == 0 || r.b[0] > 1 {
-		r.fail("truncated or invalid %s", what)
-		return false
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c == 1
-}
-
-func (r *reader) float(what string) float64 {
-	if len(r.b) < 8 {
-		r.fail("truncated %s", what)
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return f
-}
-
-// raw reads a uvarint length and that many bytes, which alias the
-// document.
-func (r *reader) raw(what string) []byte {
-	n := r.uint(what)
-	if n > uint64(len(r.b)) {
-		r.fail("%s length %d exceeds the %d bytes left", what, n, len(r.b))
-		return nil
-	}
-	raw := r.b[:n]
-	r.b = r.b[n:]
-	return raw
 }

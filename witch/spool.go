@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // The spool is the durable half of the pusher's exactly-once story: a
@@ -26,9 +27,10 @@ import (
 // On-disk layout (SpoolDir):
 //
 //	wal-%016x.log   CRC-framed segments (internal/wal format); each
-//	                record is [uvarint seq][encoded profile bytes],
-//	                the wire body verbatim (JSON or binary — replay
-//	                re-derives Content-Type from the bytes).
+//	                record is the sequence as an internal/wire uint,
+//	                then the encoded profile bytes, the wire body
+//	                verbatim (JSON or binary — replay re-derives
+//	                Content-Type from the bytes).
 //	spool.meta      JSON spoolMeta, replaced atomically (tmp+rename).
 //
 // The journal runs NoSync: spool durability targets process crashes
@@ -201,10 +203,7 @@ func (s *spool) reserveSeq(n uint64) error {
 // still lands — the alternative is dropping the newest data to keep
 // the oldest, the inverse of every other bound in the pipeline.
 func (s *spool) append(seq uint64, body []byte) (evicted uint64, err error) {
-	payload := make([]byte, 0, binary.MaxVarintLen64+len(body))
-	payload = binary.AppendUvarint(payload, seq)
-	payload = append(payload, body...)
-
+	payload := appendSpoolRecord(make([]byte, 0, binary.MaxVarintLen64+len(body)), seq, body)
 	need := int64(len(payload)) + 12 // frame overhead: u32 len + u32 crc, rounded up
 	metaDirty := false
 	for s.maxBytes > 0 && s.j.SizeBytes()+need > s.maxBytes {
@@ -250,6 +249,23 @@ func (s *spool) append(seq uint64, body []byte) (evicted uint64, err error) {
 	return evicted, nil
 }
 
+// appendSpoolRecord appends a spool record: seq as a uint, then body
+// to the end.
+func appendSpoolRecord(dst []byte, seq uint64, body []byte) []byte {
+	e := wire.NewEncoder(dst)
+	e.Uint(seq)
+	e.Raw(body)
+	return e.Bytes()
+}
+
+// splitSpoolRecord reads a record appendSpoolRecord wrote; ok is false
+// when it has no sequence header.
+func splitSpoolRecord(rec []byte) (seq uint64, body []byte, ok bool) {
+	d := wire.NewDecoder(rec)
+	seq = d.Uint()
+	return seq, d.Rest(), d.Err() == nil
+}
+
 // errChunkFull stops a replay scan once a chunk is filled.
 var errChunkFull = errors.New("witch: spool chunk full")
 
@@ -258,11 +274,11 @@ var errChunkFull = errors.New("witch: spool chunk full")
 func (s *spool) readChunk(max int) ([]spoolEntry, error) {
 	var out []spoolEntry
 	err := wal.Replay(s.dir, s.floorLSN(), func(r wal.Record) error {
-		seq, n := binary.Uvarint(r.Payload)
-		if n <= 0 {
+		seq, body, ok := splitSpoolRecord(r.Payload)
+		if !ok {
 			return fmt.Errorf("witch: spool entry at lsn %d has no sequence header", r.LSN)
 		}
-		out = append(out, spoolEntry{lsn: r.LSN, seq: seq, body: r.Payload[n:]})
+		out = append(out, spoolEntry{lsn: r.LSN, seq: seq, body: body})
 		if len(out) >= max {
 			return errChunkFull
 		}
